@@ -1,7 +1,5 @@
 #include "engine/preprocessor.h"
 
-#include <mutex>
-
 #include "util/simd.h"
 #include "util/stopwatch.h"
 

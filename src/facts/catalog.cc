@@ -21,8 +21,12 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   if (num_dims > 31) {
     return Status::Unsupported("more than 31 fact-eligible dimensions");
   }
+  if (instance.dim_cardinalities.size() != num_dims) {
+    return Status::InvalidArgument("instance lacks a cardinality per dimension");
+  }
 
   FactCatalog catalog;
+  GroupIndexer indexer;
   uint32_t num_masks = 1u << num_dims;
   for (uint32_t mask = 0; mask < num_masks; ++mask) {
     if (std::popcount(mask) > max_fact_dims || std::popcount(mask) < min_fact_dims) {
@@ -30,37 +34,39 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
     }
     FactGroup group;
     group.mask = mask;
+    size_t radices[kMaxGroupDims];
     for (size_t d = 0; d < num_dims; ++d) {
-      if (mask & (1u << d)) group.dim_positions.push_back(static_cast<int>(d));
+      if (mask & (1u << d)) {
+        radices[group.dim_positions.size()] = instance.dim_cardinalities[d];
+        group.dim_positions.push_back(static_cast<int>(d));
+      }
     }
     group.first_fact = static_cast<FactId>(catalog.facts_.size());
     group.row_fact.resize(instance.num_rows, kNoFact);
 
     // One pass: assign each row to its value-combination fact, creating
     // facts on first sight and accumulating sum/weight for typical values.
-    std::unordered_map<uint64_t, FactId> fact_of_key;
+    size_t group_dims = group.dim_positions.size();
+    indexer.Reset({radices, group_dims});
     std::vector<double> sums;
     ValueId codes[kMaxGroupDims];
     for (size_t r = 0; r < instance.num_rows; ++r) {
-      for (size_t i = 0; i < group.dim_positions.size(); ++i) {
+      for (size_t i = 0; i < group_dims; ++i) {
         codes[i] = instance.CodeAt(r, static_cast<size_t>(group.dim_positions[i]));
       }
-      uint64_t key =
-          PackGroupKey(std::span<const ValueId>(codes, group.dim_positions.size()));
-      auto [it, inserted] =
-          fact_of_key.emplace(key, static_cast<FactId>(catalog.facts_.size()));
-      if (inserted) {
+      uint32_t local = indexer.Insert(codes);
+      if (local == sums.size()) {
         Fact fact;
         fact.group = static_cast<uint32_t>(catalog.groups_.size());
-        fact.packed = key;
+        fact.packed = indexer.key(local);
         catalog.facts_.push_back(fact);
         sums.push_back(0.0);
       }
-      FactId id = it->second;
+      FactId id = group.first_fact + local;
       group.row_fact[r] = id;
       double w = instance.weight[r];
       catalog.facts_[id].scope_weight += w;
-      sums[id - group.first_fact] += instance.target[r] * w;
+      sums[local] += instance.target[r] * w;
     }
     group.num_facts = static_cast<uint32_t>(catalog.facts_.size()) - group.first_fact;
     for (uint32_t i = 0; i < group.num_facts; ++i) {

@@ -51,7 +51,15 @@ class FactCatalog {
   /// group contributes the single "overall" fact (the paper's speeches use
   /// it, e.g. "It is 35 overall" in Table II); pass min_fact_dims = 1 to
   /// restrict to specific subsets as the paper's running example does.
-  /// Requires max_fact_dims <= kMaxGroupDims and <= 31 instance dimensions.
+  /// Requires max_fact_dims <= kMaxGroupDims, <= 31 instance dimensions and
+  /// one cardinality per dimension bounding its codes.
+  ///
+  /// Each group's facts are the distinct value combinations of its
+  /// dimensions (Section VI-C), found in one pass over the rows through a
+  /// GroupIndexer keyed by the instance's dim_cardinalities: direct
+  /// mixed-radix slots for small domains, a hash map of packed keys past
+  /// GroupIndexer::kMaxDenseSlots. Facts are numbered group by group, in the
+  /// order their first row appears, so FactIds do not depend on the path.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
                                    int min_fact_dims = 0);
 

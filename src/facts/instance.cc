@@ -1,7 +1,9 @@
 #include "facts/instance.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <unordered_map>
+#include <cstring>
 
 #include "relational/group_by.h"
 #include "util/fnv.h"
@@ -27,25 +29,19 @@ double SummaryInstance::BaseError() const {
 
 namespace {
 
-struct RowKey {
-  uint64_t dims_hash;
-  double target;
-
-  bool operator==(const RowKey& other) const {
-    return dims_hash == other.dims_hash && target == other.target;
-  }
-};
-
-struct RowKeyHash {
-  size_t operator()(const RowKey& k) const {
-    uint64_t h = k.dims_hash * 0x9E3779B97F4A7C15ULL;
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(k.target));
-    __builtin_memcpy(&bits, &k.target, sizeof(bits));
-    h ^= bits + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
+/// Bucket hash of a merge key: the FNV-1a hash of the row's codes mixed with
+/// the target's bits through the murmur3 finalizer. -0.0 hashes as 0.0, so
+/// targets equal under == always share a probe sequence.
+uint64_t RowKeyHash(uint64_t codes_hash, double target) {
+  double t = target == 0.0 ? 0.0 : target;
+  uint64_t bits;
+  std::memcpy(&bits, &t, sizeof(bits));
+  uint64_t h = codes_hash ^ (bits * 0x9E3779B97F4A7C15ULL);
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  return h;
+}
 
 }  // namespace
 
@@ -139,32 +135,47 @@ Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
     return inst;
   }
 
-  // Merge rows with identical (dims, target) into weighted rows.
-  std::unordered_map<RowKey, uint32_t, RowKeyHash> merged;
-  merged.reserve(rows.size());
+  // Merge rows with identical (codes, target) into weighted rows, in the
+  // order each key first appears, through a flat open-addressing table
+  // (linear probing, load <= 1/2) of merged-row indices. The hash only picks
+  // the bucket: a row merges only when its target and every code are equal.
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  size_t capacity = std::bit_ceil(2 * rows.size());
+  int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint32_t> buckets(capacity, kEmpty);
+  std::vector<uint64_t> merged_hash;  // per merged row
+  std::vector<std::span<const ValueId>> columns(num_dims);
+  for (size_t d = 0; d < num_dims; ++d) {
+    columns[d] = table.DimColumn(static_cast<size_t>(inst.dims[d]));
+  }
   std::vector<ValueId> row_codes(num_dims);
   for (uint32_t r : rows) {
     Fnv64 fnv;  // FNV-1a over codes (util/fnv.h)
     for (size_t d = 0; d < num_dims; ++d) {
-      row_codes[d] = table.DimCode(r, static_cast<size_t>(inst.dims[d]));
+      row_codes[d] = columns[d][r];
       fnv.MixWord(static_cast<uint64_t>(row_codes[d]) + 1);
     }
-    uint64_t h = fnv.state;
     double v = target_column[r];
-    RowKey key{h, v};
-    auto [it, inserted] = merged.emplace(key, static_cast<uint32_t>(inst.num_rows));
-    if (inserted) {
-      for (size_t d = 0; d < num_dims; ++d) inst.codes.push_back(row_codes[d]);
-      inst.target.push_back(v);
-      inst.weight.push_back(1.0);
-      ++inst.num_rows;
-    } else {
-      inst.weight[it->second] += 1.0;
+    uint64_t h = RowKeyHash(fnv.state, v);
+    for (size_t b = h >> shift;; b = (b + 1) & (capacity - 1)) {
+      uint32_t m = buckets[b];
+      if (m == kEmpty) {
+        buckets[b] = static_cast<uint32_t>(inst.num_rows);
+        merged_hash.push_back(h);
+        inst.codes.insert(inst.codes.end(), row_codes.begin(), row_codes.end());
+        inst.target.push_back(v);
+        inst.weight.push_back(1.0);
+        ++inst.num_rows;
+        break;
+      }
+      if (merged_hash[m] == h && inst.target[m] == v &&
+          std::equal(row_codes.begin(), row_codes.end(),
+                     inst.codes.begin() + static_cast<ptrdiff_t>(m * num_dims))) {
+        inst.weight[m] += 1.0;
+        break;
+      }
     }
   }
-  // Note: hash collisions between distinct code vectors would merge
-  // non-identical rows; with 64-bit FNV over short code vectors this is
-  // vanishingly unlikely, and results remain valid approximations even then.
   return inst;
 }
 

@@ -26,13 +26,17 @@ enum class PriorKind {
 /// Rows with identical dimension codes and identical target value are merged
 /// with a multiplicity weight; all deviation/utility computations are
 /// weighted, which leaves every result unchanged while shrinking the block
-/// (targets here are integers in practice, so merge rates are high).
+/// (targets here are integers in practice, so merge rates are high). The
+/// merge is exact -- rows are compared code by code, a hash only places
+/// them -- and merged rows keep the order of their first source row.
 struct SummaryInstance {
   /// Fact-eligible dimension columns (indices into the source table) -- the
   /// dimensions not already fixed by the query's predicates.
   std::vector<int> dims;
   std::vector<std::string> dim_names;
-  /// Cardinality of each fact-eligible dimension (full dictionary size).
+  /// Cardinality of each fact-eligible dimension (full dictionary size); it
+  /// bounds the dimension's codes and sizes FactCatalog::Build's grouping
+  /// slots.
   std::vector<size_t> dim_cardinalities;
 
   size_t num_rows = 0;                 ///< merged rows

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "storage/datasets.h"
+#include "util/rng.h"
 
 namespace vq {
 namespace {
@@ -79,6 +86,58 @@ TEST_F(InstanceTest, MergeDuplicatesPreservesWeightAndError) {
   ASSERT_TRUE(unmerged.ok());
   EXPECT_EQ(unmerged.value().num_rows, 32u);
   EXPECT_DOUBLE_EQ(unmerged.value().BaseError(), 240.0);
+
+  // Seeded random tables, whole and filtered: merged rows are pairwise
+  // distinct in (codes, target), appear in first-seen order, and each
+  // weight counts exactly the subset rows carrying its key.
+  using Key = std::pair<std::vector<ValueId>, double>;
+  for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Table random("random");
+    std::vector<size_t> cards;
+    for (int d = 0; d < 4; ++d) {
+      random.AddDimColumn("d" + std::to_string(d));
+      cards.push_back(static_cast<size_t>(rng.NextInt(1, 6)));
+    }
+    random.AddTargetColumn("y");
+    std::vector<std::string> values(cards.size());
+    for (int r = 0; r < 2000; ++r) {
+      for (size_t d = 0; d < cards.size(); ++d) {
+        values[d] = "v" + std::to_string(rng.NextBelow(cards[d]));
+      }
+      ASSERT_TRUE(
+          random.AppendRow(values, {static_cast<double>(rng.NextInt(0, 4))}).ok());
+    }
+    PredicateSet filtered = {MakePredicate(random, "d1", random.DimValue(0, 1)).value()};
+    for (const PredicateSet& query : {PredicateSet{}, filtered}) {
+      auto inst = BuildInstance(random, query, 0);
+      ASSERT_TRUE(inst.ok());
+      const SummaryInstance& got = inst.value();
+      std::vector<uint32_t> subset = FilterRows(random, query);
+      std::map<Key, double> count;
+      std::vector<Key> first_seen;
+      for (uint32_t r : subset) {
+        Key key{{}, random.TargetValue(r, 0)};
+        for (int d : got.dims) key.first.push_back(random.DimCode(r, static_cast<size_t>(d)));
+        if (count[key]++ == 0) first_seen.push_back(key);
+      }
+      ASSERT_EQ(got.num_rows, first_seen.size());
+      std::set<Key> distinct;
+      double weight_sum = 0.0;
+      for (size_t m = 0; m < got.num_rows; ++m) {
+        Key key{{got.codes.begin() + static_cast<ptrdiff_t>(m * got.dims.size()),
+                 got.codes.begin() + static_cast<ptrdiff_t>((m + 1) * got.dims.size())},
+                got.target[m]};
+        EXPECT_TRUE(distinct.insert(key).second) << "merged row " << m << " repeats";
+        EXPECT_EQ(key, first_seen[m]) << "merged row " << m;
+        EXPECT_EQ(got.weight[m], count[key]) << "merged row " << m;
+        weight_sum += got.weight[m];
+      }
+      EXPECT_EQ(weight_sum, static_cast<double>(subset.size()));
+      EXPECT_EQ(got.total_weight, static_cast<double>(subset.size()));
+    }
+  }
 }
 
 TEST_F(InstanceTest, EmptySubsetFails) {

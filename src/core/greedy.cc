@@ -1,7 +1,7 @@
 #include "core/greedy.h"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 
 #include "util/stopwatch.h"
 
@@ -9,21 +9,28 @@ namespace vq {
 
 namespace {
 
+/// Per-iteration buffers of SelectBestFact, owned by the greedy loop so it
+/// allocates them once per solve, not per iteration -- the SIMD gain kernels
+/// leave allocation as the only per-iteration overhead worth seeing in a
+/// profile.
+struct SelectScratch {
+  std::vector<double> gains;  ///< per-fact gain accumulator (NumFacts entries)
+  std::vector<bool> handled;  ///< per group: utility already computed
+  std::vector<bool> pruned;   ///< per group: dominated by a pruned target
+};
+
 /// Chooses the fact with maximal utility gain among all unpruned groups.
 /// Implements Algorithm 3's UTILITY when a pruning plan is supplied.
-/// `gains` is the caller's reusable per-fact accumulator (NumFacts entries);
-/// it is zeroed here so the greedy loop allocates it once, not per
-/// iteration -- the SIMD gain kernels it feeds leave allocation as the only
-/// per-iteration overhead worth seeing in a profile.
+/// `scratch` is reset here on every call.
 std::pair<double, FactId> SelectBestFact(const Evaluator& evaluator,
                                          const GreedyState& state,
                                          const PruningPlan* plan,
-                                         std::vector<double>* gains_buffer,
+                                         SelectScratch* scratch,
                                          PerfCounters* counters,
                                          const Deadline* deadline,
                                          bool* timed_out) {
   const FactCatalog& catalog = evaluator.catalog();
-  std::vector<double>& gains = *gains_buffer;
+  std::vector<double>& gains = scratch->gains;
   gains.assign(catalog.NumFacts(), 0.0);
   double best_gain = -1.0;
   FactId best_fact = kNoFact;
@@ -56,7 +63,8 @@ std::pair<double, FactId> SelectBestFact(const Evaluator& evaluator,
   }
 
   // 1. Compute utility for the pruning sources; m = best source gain.
-  std::vector<bool> handled(catalog.NumGroups(), false);
+  std::vector<bool>& handled = scratch->handled;
+  handled.assign(catalog.NumGroups(), false);
   for (uint32_t g : plan->sources) {
     if (expired()) return {best_gain, best_fact};
     consider_group(g);
@@ -66,7 +74,8 @@ std::pair<double, FactId> SelectBestFact(const Evaluator& evaluator,
 
   // 2. Compare target bounds against the best source gain; prune dominated
   //    targets together with all their specializations.
-  std::vector<bool> pruned(catalog.NumGroups(), false);
+  std::vector<bool>& pruned = scratch->pruned;
+  pruned.assign(catalog.NumGroups(), false);
   for (uint32_t t : plan->targets) {
     if (pruned[t] || handled[t]) continue;  // already pruned via a generalization
     double bound = state.GroupUtilityBound(t, counters);
@@ -104,25 +113,12 @@ SummaryResult GreedySummary(const Evaluator& evaluator, const GreedyOptions& opt
     return result;
   }
 
-  // Pruning plans depend only on static group statistics, so the plan is
-  // selected once and reused in every iteration (OPT_PRUNE).
-  std::unique_ptr<PruningPlan> plan;
-  if (options.pruning != FactPruning::kNone && catalog.NumGroups() > 1) {
-    std::vector<uint32_t> masks;
-    std::vector<size_t> counts;
-    for (const auto& group : catalog.groups()) {
-      masks.push_back(group.mask);
-      counts.push_back(group.num_facts);
-    }
-    PruningPlanner planner(std::move(masks), std::move(counts),
-                           evaluator.instance().num_rows, options.cost_model);
-    plan = std::make_unique<PruningPlan>(options.pruning == FactPruning::kNaive
-                                             ? planner.NaivePlan()
-                                             : planner.ChoosePlan());
-  }
+  std::optional<PruningPlan> plan =
+      SelectPruningPlan(catalog, evaluator.instance().num_rows, options.pruning,
+                        options.cost_model);
 
   GreedyState state(evaluator);
-  std::vector<double> gains_buffer;
+  SelectScratch scratch;
   for (int i = 0; i < options.max_facts; ++i) {
     if (options.deadline != nullptr && options.deadline->Expired()) {
       result.timed_out = true;
@@ -130,7 +126,7 @@ SummaryResult GreedySummary(const Evaluator& evaluator, const GreedyOptions& opt
     }
     bool scan_timed_out = false;
     auto [gain, fact] =
-        SelectBestFact(evaluator, state, plan.get(), &gains_buffer,
+        SelectBestFact(evaluator, state, plan ? &*plan : nullptr, &scratch,
                        &result.counters, options.deadline, &scan_timed_out);
     if (scan_timed_out) {
       // A partial scan's argmax is not the greedy choice; keep the

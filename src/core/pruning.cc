@@ -24,19 +24,25 @@ PruningPlanner::PruningPlanner(std::vector<uint32_t> group_masks,
       num_rows_(num_rows),
       params_(params) {
   assert(masks_.size() == fact_counts_.size());
-  by_count_.resize(masks_.size());
-  for (uint32_t g = 0; g < masks_.size(); ++g) by_count_[g] = g;
+  const size_t num_groups = masks_.size();
+  by_count_.resize(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) by_count_[g] = g;
   std::stable_sort(by_count_.begin(), by_count_.end(), [this](uint32_t a, uint32_t b) {
     return fact_counts_[a] < fact_counts_[b];
   });
-}
-
-double PruningPlanner::PruneProbability(uint32_t source, uint32_t target) const {
   // Per-fact utilities modeled as normal with mean inversely proportional to
   // the group's fact count (facts in small groups cover more rows).
-  double mu_s = 1.0 / static_cast<double>(std::max<size_t>(1, fact_counts_[source]));
-  double mu_t = 1.0 / static_cast<double>(std::max<size_t>(1, fact_counts_[target]));
-  return NormalGreaterProbability(mu_s, mu_t, params_.sigma);
+  std::vector<double> mu(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    mu[g] = 1.0 / static_cast<double>(std::max<size_t>(1, fact_counts_[g]));
+  }
+  prune_prob_.resize(num_groups * num_groups);
+  for (size_t s = 0; s < num_groups; ++s) {
+    for (size_t t = 0; t < num_groups; ++t) {
+      prune_prob_[s * num_groups + t] =
+          NormalGreaterProbability(mu[s], mu[t], params_.sigma);
+    }
+  }
 }
 
 double PruningPlanner::TargetPruneProbability(const std::vector<uint32_t>& sources,
@@ -70,24 +76,48 @@ double PruningPlanner::EstimateCost(const PruningPlan& plan) const {
   return cost;
 }
 
-std::vector<PruningPlan> PruningPlanner::GeneratePlans() const {
-  std::vector<PruningPlan> candidates;
+template <typename Visit>
+void PruningPlanner::ForEachCandidate(Visit&& visit) const {
+  const size_t num_groups = masks_.size();
+  const double n = static_cast<double>(num_rows_);
+  std::vector<size_t> rank(num_groups);  // position of each group in by_count_
+  for (size_t i = 0; i < num_groups; ++i) rank[by_count_[i]] = i;
+  // not_pruned[t] = prod over the current sources of (1 - Pr(Ps->t)), so
+  // Pr(Pt) = 1 - not_pruned[t]; survive[g] = EstimateCost's survival product
+  // of g for the current sources and targets. Each factor is multiplied in
+  // the order TargetPruneProbability and EstimateCost use (targets in plan
+  // order, sources in plan order within a target), and price() adds terms in
+  // EstimateCost's group order, so every H and every estimated_cost has the
+  // same bits as those reference functions give.
+  std::vector<double> not_pruned(num_groups, 1.0);
+  std::vector<double> survive(num_groups);
+  std::vector<uint32_t> remaining, next, targets;
+
+  auto price = [&](size_t num_sources) {
+    double cost = 0.0;
+    cost += static_cast<double>(num_sources) * params_.join_cost_per_row * n;
+    cost += static_cast<double>(targets.size()) * params_.bound_cost_per_row * n;
+    for (size_t g = 0; g < num_groups; ++g) {
+      if (rank[g] < num_sources) continue;
+      cost += survive[g] * params_.join_cost_per_row * n;
+    }
+    return cost;
+  };
 
   // The trivial plan: compute everything, prune nothing (lets OPT_PRUNE fall
   // back to G-B behaviour when pruning cannot pay off).
-  PruningPlan trivial;
-  trivial.sources = by_count_;
-  trivial.estimated_cost = EstimateCost(trivial);
-  candidates.push_back(std::move(trivial));
+  visit(num_groups, targets, price(num_groups));
 
   // Algorithm 4: pruning sources are prefixes of the groups sorted by member
   // count ("no group outside S has fewer facts than a group in S").
-  for (size_t prefix = 1; prefix < by_count_.size(); ++prefix) {
-    std::vector<uint32_t> sources(by_count_.begin(),
-                                  by_count_.begin() + static_cast<long>(prefix));
-    std::vector<uint32_t> remaining(by_count_.begin() + static_cast<long>(prefix),
-                                    by_count_.end());
-    std::vector<uint32_t> targets;
+  for (size_t prefix = 1; prefix < num_groups; ++prefix) {
+    const uint32_t newest = by_count_[prefix - 1];
+    for (size_t t = 0; t < num_groups; ++t) {
+      not_pruned[t] *= 1.0 - PruneProbability(newest, t);
+    }
+    std::fill(survive.begin(), survive.end(), 1.0);
+    remaining.assign(by_count_.begin() + static_cast<long>(prefix), by_count_.end());
+    targets.clear();
     while (!remaining.empty()) {
       // Select the next target maximizing H(t, S, L) = Pr(Pt) * |{l : t <= l}|.
       double best_h = -1.0;
@@ -98,7 +128,7 @@ std::vector<PruningPlan> PruningPlanner::GeneratePlans() const {
         for (uint32_t l : remaining) {
           if (Specializes(t, l)) ++covered;
         }
-        double h = TargetPruneProbability(sources, t) * static_cast<double>(covered);
+        double h = (1.0 - not_pruned[t]) * static_cast<double>(covered);
         if (h > best_h) {
           best_h = h;
           best_idx = i;
@@ -106,40 +136,79 @@ std::vector<PruningPlan> PruningPlanner::GeneratePlans() const {
       }
       uint32_t chosen = remaining[best_idx];
       targets.push_back(chosen);
+      for (size_t g = 0; g < num_groups; ++g) {
+        if (rank[g] < prefix || !Specializes(chosen, static_cast<uint32_t>(g))) continue;
+        for (size_t i = 0; i < prefix; ++i) {
+          survive[g] *= 1.0 - PruneProbability(by_count_[i], chosen);
+        }
+      }
       // Each source/target combination yields a candidate plan.
-      PruningPlan plan;
-      plan.sources = sources;
-      plan.targets = targets;
-      plan.estimated_cost = EstimateCost(plan);
-      candidates.push_back(std::move(plan));
+      visit(prefix, targets, price(prefix));
       // Discard the target's specializations (they would be implicitly
       // pruned if the target prunes successfully).
-      std::vector<uint32_t> next;
+      next.clear();
       for (uint32_t l : remaining) {
         if (!Specializes(chosen, l)) next.push_back(l);
       }
-      remaining = std::move(next);
+      remaining.swap(next);
     }
   }
+}
+
+std::vector<PruningPlan> PruningPlanner::GeneratePlans() const {
+  std::vector<PruningPlan> candidates;
+  ForEachCandidate([&](size_t num_sources, const std::vector<uint32_t>& targets,
+                       double cost) {
+    PruningPlan plan;
+    plan.sources.assign(by_count_.begin(),
+                        by_count_.begin() + static_cast<long>(num_sources));
+    plan.targets = targets;
+    plan.estimated_cost = cost;
+    candidates.push_back(std::move(plan));
+  });
   return candidates;
 }
 
 PruningPlan PruningPlanner::ChoosePlan() const {
-  std::vector<PruningPlan> candidates = GeneratePlans();
-  assert(!candidates.empty());
-  size_t best = 0;
-  for (size_t i = 1; i < candidates.size(); ++i) {
-    if (candidates[i].estimated_cost < candidates[best].estimated_cost) best = i;
-  }
-  return candidates[best];
+  // The first candidate (the trivial plan) is taken unconditionally; later
+  // ones only on a strictly lower cost.
+  PruningPlan best;
+  size_t best_sources = 0;
+  bool first = true;
+  ForEachCandidate([&](size_t num_sources, const std::vector<uint32_t>& targets,
+                       double cost) {
+    if (!first && !(cost < best.estimated_cost)) return;
+    first = false;
+    best_sources = num_sources;
+    best.targets = targets;
+    best.estimated_cost = cost;
+  });
+  best.sources.assign(by_count_.begin(),
+                      by_count_.begin() + static_cast<long>(best_sources));
+  return best;
 }
 
 PruningPlan PruningPlanner::NaivePlan() const {
   PruningPlan plan;
+  if (by_count_.empty()) return plan;
   plan.sources.push_back(by_count_.front());
   for (size_t i = 1; i < by_count_.size(); ++i) plan.targets.push_back(by_count_[i]);
   plan.estimated_cost = EstimateCost(plan);
   return plan;
+}
+
+std::optional<PruningPlan> SelectPruningPlan(const FactCatalog& catalog, size_t num_rows,
+                                             FactPruning pruning,
+                                             const CostModelParams& params) {
+  if (pruning == FactPruning::kNone || catalog.NumGroups() <= 1) return std::nullopt;
+  std::vector<uint32_t> masks;
+  std::vector<size_t> counts;
+  for (const auto& group : catalog.groups()) {
+    masks.push_back(group.mask);
+    counts.push_back(group.num_facts);
+  }
+  PruningPlanner planner(std::move(masks), std::move(counts), num_rows, params);
+  return pruning == FactPruning::kNaive ? planner.NaivePlan() : planner.ChoosePlan();
 }
 
 }  // namespace vq

@@ -200,17 +200,25 @@ int main() {
       }));
   double join_blocks =
       static_cast<double>(catalog.NumGroups()) * blocks;  // rows per full join
+  // positive_gain's dense input: the prior deviation of every scope entry,
+  // pre-gathered into CSR order (fact by fact, aligned with ScopeRows).
+  std::vector<double> csr_prior_dev;
+  std::vector<size_t> csr_begin;
+  csr_prior_dev.reserve(catalog.NumGroups() * n);
+  for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
+    csr_begin.push_back(csr_prior_dev.size());
+    for (uint32_t r : catalog.ScopeRows(id)) csr_prior_dev.push_back(prior_dev[r]);
+  }
   kernels.push_back(bench_kernel(
       "positive_gain",
       [&](const vq::simd::Kernels& k) {
-        // The single-fact-utility kernel on the FULL initialization join:
-        // every fact of every group, streaming the CSR-aligned SoA tables
-        // (pre-gathered prior deviations included) -- exactly what
-        // Evaluator::SingleFactUtilities runs.
+        // The dense single-fact-utility reduction on the FULL
+        // initialization join: every fact of every group, streaming the
+        // CSR-aligned SoA tables and the pre-gathered prior deviations above.
         double total = 0.0;
         for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
           auto scope = catalog.ScopeRows(id);
-          total += k.positive_gain(catalog.ScopePriorDevs(id).data(),
+          total += k.positive_gain(csr_prior_dev.data() + csr_begin[id],
                                    catalog.ScopeDevs(id).data(),
                                    catalog.ScopeWeights(id).data(), scope.size());
         }

@@ -237,9 +237,10 @@ std::vector<double> Evaluator::RowExpectations(std::span<const FactId> speech,
 
 std::vector<double> Evaluator::SingleFactUtilities(PerfCounters* counters) const {
   // The initialization join of Algorithm 1, Line 6, as pure kernel work: per
-  // fact, stream the catalog's SoA block-delta tables -- |value - target|,
-  // row weight AND the pre-gathered prior deviation, all in CSR order -- so
-  // the reduction is dense with no gather at all.
+  // fact, stream the catalog's SoA block-delta tables (|value - target| and
+  // row weight, in CSR order) and gather the prior deviation of each scope
+  // row -- the same kernel the greedy gain loops run over their current
+  // deviation column.
   const simd::Kernels& kernels = simd::Active();
   std::vector<double> utilities(catalog_->NumFacts(), 0.0);
   for (uint32_t g = 0; g < catalog_->NumGroups(); ++g) {
@@ -247,8 +248,8 @@ std::vector<double> Evaluator::SingleFactUtilities(PerfCounters* counters) const
     for (uint32_t i = 0; i < group.num_facts; ++i) {
       FactId id = group.first_fact + i;
       std::span<const uint32_t> scope = catalog_->ScopeRows(id);
-      utilities[id] = kernels.positive_gain(
-          catalog_->ScopePriorDevs(id).data(), catalog_->ScopeDevs(id).data(),
+      utilities[id] = kernels.gather_positive_gain(
+          prior_dev_.data(), scope.data(), catalog_->ScopeDevs(id).data(),
           catalog_->ScopeWeights(id).data(), scope.size());
       // Scope popcounts within a group sum to the block size, so this
       // charges exactly what the seed's one-pass-per-group join charged.

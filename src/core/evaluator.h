@@ -58,7 +58,10 @@ struct PerfCounters {
 /// is exactly equivalent to iterating the original rows.
 ///
 /// Since the indexed-scan refactor the speech paths are bitset-vectorized:
-/// the catalog's per-fact scope bitsets are ORed into a per-word cover mask,
+/// the catalog's per-fact scope bitsets (built by the catalog on the first
+/// FactCatalog::ScopeBits() call, i.e. by the first Error, Utility or
+/// RowExpectations call on any evaluator over it; greedy never builds them)
+/// are ORed into a per-word cover mask,
 /// whole 64-row blocks no speech fact touches reduce to one precomputed
 /// weighted prior-deviation sum, and only covered rows resolve conflicting
 /// facts. The initialization join iterates each fact's CSR scope rows.
@@ -71,7 +74,7 @@ struct PerfCounters {
 /// blocks reduce with the masked block-sum kernel over the padded
 /// prior-deviation array, and the initialization join streams the catalog's
 /// SoA block-delta tables (ScopeDevs/ScopeWeights) through the positive-gain
-/// gather kernel. Under kClosest, rows covered by exactly one speech fact
+/// gather kernel over PriorDeviations(). Under kClosest, rows covered by exactly one speech fact
 /// additionally resolve branchlessly through the masked single-fact kernel
 /// (their contribution is min(weighted fact deviation, weighted prior
 /// deviation)); only rows covered by SEVERAL facts still walk the
@@ -116,7 +119,8 @@ class Evaluator {
       PerfCounters* counters = nullptr) const;
 
   /// |prior - target[r]| per merged row, precomputed once (GreedyState
-  /// seeds its per-row deviation column from this instead of re-deriving).
+  /// seeds its per-row deviation column from this instead of re-deriving,
+  /// and SingleFactUtilities gathers it per scope row).
   std::span<const double> PriorDeviations() const { return prior_dev_; }
 
  private:

@@ -8,6 +8,19 @@
 
 namespace vq {
 
+namespace {
+
+/// n choose k for the small arguments Build needs (n <= 31, k <= 4); exact,
+/// since every intermediate c * (n - i) is divisible by i + 1.
+uint64_t Binomial(uint64_t n, uint64_t k) {
+  if (k > n) return 0;
+  uint64_t c = 1;
+  for (uint64_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
+  return c;
+}
+
+}  // namespace
+
 Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
                                        int max_fact_dims, int min_fact_dims) {
   if (max_fact_dims < 0 || static_cast<size_t>(max_fact_dims) > kMaxGroupDims) {
@@ -24,104 +37,133 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   if (instance.dim_cardinalities.size() != num_dims) {
     return Status::InvalidArgument("instance lacks a cardinality per dimension");
   }
+  // Every group partitions the rows, so the CSR tables hold exactly
+  // num_groups * num_rows entries behind uint32 offsets: reject what they
+  // cannot address before allocating a single scope join.
+  size_t num_rows = instance.num_rows;
+  uint64_t num_groups = 0;
+  for (int k = min_fact_dims; k <= max_fact_dims; ++k) {
+    num_groups += Binomial(num_dims, static_cast<uint64_t>(k));
+  }
+  if (num_rows > 0 && num_groups > UINT32_MAX / num_rows) {
+    return Status::Unsupported(
+        "scope join of " + std::to_string(num_groups) + " fact groups x " +
+        std::to_string(num_rows) + " rows exceeds 2^32 entries");
+  }
 
   FactCatalog catalog;
+  catalog.groups_.reserve(num_groups);
+  // The codes transposed to one column per dimension, so the grouping
+  // passes read whole columns.
+  std::vector<ValueId> columns(num_dims * num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t d = 0; d < num_dims; ++d) {
+      columns[d * num_rows + r] = instance.codes[r * num_dims + d];
+    }
+  }
+  // Group g's scope entries fill [g * num_rows, (g + 1) * num_rows) of the
+  // CSR tables; every entry is written exactly once below.
+  size_t num_entries = num_groups * num_rows;
+  catalog.scope_rows_ = std::make_unique_for_overwrite<uint32_t[]>(num_entries);
+  catalog.scope_devs_ = std::make_unique_for_overwrite<double[]>(num_entries);
+  catalog.scope_weights_ = std::make_unique_for_overwrite<double[]>(num_entries);
+  uint32_t* rows = catalog.scope_rows_.get();
+  double* devs = catalog.scope_devs_.get();
+  double* weights = catalog.scope_weights_.get();
+  std::vector<uint32_t>& offsets = catalog.scope_row_offsets_;
+  offsets.push_back(0);
+  std::vector<uint32_t> cursor;
   GroupIndexer indexer;
   uint32_t num_masks = 1u << num_dims;
   for (uint32_t mask = 0; mask < num_masks; ++mask) {
     if (std::popcount(mask) > max_fact_dims || std::popcount(mask) < min_fact_dims) {
       continue;
     }
+    uint32_t group_index = static_cast<uint32_t>(catalog.groups_.size());
     FactGroup group;
     group.mask = mask;
-    size_t radices[kMaxGroupDims];
+    size_t radices[kMaxGroupDims] = {};
+    const ValueId* group_columns[kMaxGroupDims] = {};
     for (size_t d = 0; d < num_dims; ++d) {
       if (mask & (1u << d)) {
         radices[group.dim_positions.size()] = instance.dim_cardinalities[d];
+        group_columns[group.dim_positions.size()] = columns.data() + d * num_rows;
         group.dim_positions.push_back(static_cast<int>(d));
       }
     }
-    group.first_fact = static_cast<FactId>(catalog.facts_.size());
-    group.row_fact.resize(instance.num_rows, kNoFact);
 
-    // One pass: assign each row to its value-combination fact, creating
-    // facts on first sight and accumulating sum/weight for typical values.
-    size_t group_dims = group.dim_positions.size();
-    indexer.Reset({radices, group_dims});
-    std::vector<double> sums;
-    ValueId codes[kMaxGroupDims];
-    for (size_t r = 0; r < instance.num_rows; ++r) {
-      for (size_t i = 0; i < group_dims; ++i) {
-        codes[i] = instance.CodeAt(r, static_cast<size_t>(group.dim_positions[i]));
-      }
-      uint32_t local = indexer.Insert(codes);
-      if (local == sums.size()) {
-        Fact fact;
-        fact.group = static_cast<uint32_t>(catalog.groups_.size());
-        fact.packed = indexer.key(local);
-        catalog.facts_.push_back(fact);
-        sums.push_back(0.0);
-      }
-      FactId id = group.first_fact + local;
-      group.row_fact[r] = id;
-      double w = instance.weight[r];
-      catalog.facts_[id].scope_weight += w;
-      sums[local] += instance.target[r] * w;
-    }
-    group.num_facts = static_cast<uint32_t>(catalog.facts_.size()) - group.first_fact;
+    // Pass 1: row -> fact (group-local ids for now) and rows per fact.
+    // Integer work only.
+    group.first_fact = static_cast<FactId>(catalog.facts_.size());
+    group.row_fact.resize(num_rows);
+    indexer.Reset({radices, group.dim_positions.size()});
+    indexer.InsertColumns(group_columns, num_rows, group.row_fact.data(), &cursor);
+    group.num_facts = static_cast<uint32_t>(indexer.size());
     for (uint32_t i = 0; i < group.num_facts; ++i) {
-      Fact& fact = catalog.facts_[group.first_fact + i];
-      fact.value = fact.scope_weight > 0.0 ? sums[i] / fact.scope_weight : 0.0;
+      Fact fact;
+      fact.group = group_index;
+      fact.packed = indexer.key(i);
+      catalog.facts_.push_back(fact);
+      uint32_t begin = offsets.back();
+      offsets.push_back(begin + cursor[i]);
+      cursor[i] = begin;
     }
-    catalog.mask_to_group_.emplace(mask, static_cast<uint32_t>(catalog.groups_.size()));
+
+    // Pass 2: counting-sort the row ids into the CSR lists (rows arrive
+    // ascending, so every list is ascending) while turning local ids into
+    // FactIds. Then, per fact in CSR order, accumulate the scope weight and
+    // weighted sum -- the order a row-by-row scan adds them in, so the
+    // typical value keeps its exact bits -- and write the SoA tables
+    // sequentially.
+    for (size_t r = 0; r < num_rows; ++r) {
+      FactId& id = group.row_fact[r];
+      rows[cursor[id]++] = static_cast<uint32_t>(r);
+      id += group.first_fact;
+    }
+    for (FactId id = group.first_fact; id < group.first_fact + group.num_facts; ++id) {
+      uint32_t begin = offsets[id];
+      uint32_t end = offsets[id + 1];
+      double scope_weight = 0.0;
+      double sum = 0.0;
+      for (uint32_t k = begin; k < end; ++k) {
+        double w = instance.weight[rows[k]];
+        double target = instance.target[rows[k]];
+        scope_weight += w;
+        sum += target * w;
+        weights[k] = w;
+        devs[k] = target;
+      }
+      double value = scope_weight > 0.0 ? sum / scope_weight : 0.0;
+      for (uint32_t k = begin; k < end; ++k) devs[k] = std::fabs(value - devs[k]);
+      catalog.facts_[id].value = value;
+      catalog.facts_[id].scope_weight = scope_weight;
+    }
+    catalog.mask_to_group_.emplace(mask, group_index);
     catalog.groups_.push_back(std::move(group));
   }
 
-  // Materialize per-fact row membership from the scope joins: one flat
-  // bitset (bit r set iff the row is in scope) plus CSR row lists. Every
-  // group partitions the rows, so the CSR arrays hold exactly num_groups *
-  // num_rows entries and per-fact popcounts sum to num_rows within a group.
-  size_t num_facts = catalog.facts_.size();
-  size_t words = (instance.num_rows + 63) / 64;
-  catalog.scope_words_ = words;
-  // The flat bitset is num_facts * num_rows BITS -- quadratic when facts
-  // approach the row count -- so it is capped; the Evaluator falls back to
-  // its reference paths when HasScopeBits() is false.
-  catalog.has_scope_bits_ = num_facts * words <= kMaxScopeBitsWords;
-  if (catalog.has_scope_bits_) catalog.scope_bits_.assign(num_facts * words, 0);
-  catalog.scope_row_offsets_.assign(num_facts + 2, 0);
-  for (const FactGroup& group : catalog.groups_) {
-    for (size_t r = 0; r < instance.num_rows; ++r) {
-      ++catalog.scope_row_offsets_[group.row_fact[r] + 2];
-    }
-  }
-  for (size_t i = 2; i < catalog.scope_row_offsets_.size(); ++i) {
-    catalog.scope_row_offsets_[i] += catalog.scope_row_offsets_[i - 1];
-  }
-  catalog.scope_rows_.resize(catalog.groups_.size() * instance.num_rows);
-  catalog.scope_devs_.resize(catalog.scope_rows_.size());
-  catalog.scope_weights_.resize(catalog.scope_rows_.size());
-  catalog.scope_prior_devs_.resize(catalog.scope_rows_.size());
-  // scope_row_offsets_[id + 1] doubles as the fill cursor of fact id during
-  // this pass; afterwards it has advanced to the fact's end offset, which is
-  // exactly what ScopeRows(id) expects. The SoA block-delta tables are
-  // filled in the same pass (typical values are final by this point).
-  for (const FactGroup& group : catalog.groups_) {
-    for (size_t r = 0; r < instance.num_rows; ++r) {
-      FactId id = group.row_fact[r];
-      uint32_t pos = catalog.scope_row_offsets_[id + 1]++;
-      catalog.scope_rows_[pos] = static_cast<uint32_t>(r);
-      catalog.scope_devs_[pos] =
-          std::fabs(catalog.facts_[id].value - instance.target[r]);
-      catalog.scope_weights_[pos] = instance.weight[r];
-      catalog.scope_prior_devs_[pos] = std::fabs(instance.prior - instance.target[r]);
-      if (catalog.has_scope_bits_) {
-        catalog.scope_bits_[id * words + (r >> 6)] |= uint64_t{1} << (r & 63);
-      }
-    }
-  }
-  catalog.scope_row_offsets_.pop_back();
+  assert(catalog.groups_.size() == num_groups);
+  // The bitsets are num_facts * num_rows BITS -- quadratic when facts
+  // approach the row count -- so they are capped; the Evaluator falls back
+  // to its reference paths when HasScopeBits() is false.
+  catalog.scope_words_ = (num_rows + 63) / 64;
+  catalog.has_scope_bits_ =
+      catalog.facts_.size() * catalog.scope_words_ <= kMaxScopeBitsWords;
+  if (catalog.has_scope_bits_) catalog.scope_bits_ = std::make_unique<LazyScopeBits>();
   return catalog;
+}
+
+const uint64_t* FactCatalog::ScopeBitsTable() const {
+  assert(has_scope_bits_);
+  std::call_once(scope_bits_->once, [this] {
+    std::vector<uint64_t>& bits = scope_bits_->words;
+    bits.assign(facts_.size() * scope_words_, 0);
+    for (FactId id = 0; id < facts_.size(); ++id) {
+      uint64_t* fact_bits = bits.data() + id * scope_words_;
+      for (uint32_t r : ScopeRows(id)) fact_bits[r >> 6] |= uint64_t{1} << (r & 63);
+    }
+  });
+  return scope_bits_->words.data();
 }
 
 int FactCatalog::GroupIndexForMask(uint32_t mask) const {

@@ -9,6 +9,8 @@
 #define VQ_FACTS_CATALOG_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>  // std::call_once for the lazy scope bitsets (not locking)
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -60,6 +62,16 @@ class FactCatalog {
   /// mixed-radix slots for small domains, a hash map of packed keys past
   /// GroupIndexer::kMaxDenseSlots. Facts are numbered group by group, in the
   /// order their first row appears, so FactIds do not depend on the path.
+  ///
+  /// The instance codes are transposed into columns once; then each group
+  /// takes two passes while its scope join is cache-hot. Pass 1 assigns
+  /// row -> fact ids column-at-a-time and counts rows per fact (integer work
+  /// only). Pass 2 counting-sorts the row ids into the CSR lists, then walks
+  /// every fact's list in ascending row order to accumulate its scope weight
+  /// and typical value -- the order a row-by-row scan adds them in, so the
+  /// sums are bit-identical -- and writes the SoA tables sequentially.
+  /// Returns Unsupported, before allocating anything, when
+  /// num_groups * num_rows exceeds UINT32_MAX.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
                                    int min_fact_dims = 0);
 
@@ -80,12 +92,12 @@ class FactCatalog {
   /// Words per fact in the row-membership bitsets (ceil(num_rows / 64)).
   size_t ScopeWords() const { return scope_words_; }
 
-  /// True when per-fact scope bitsets were materialized. They cost
-  /// num_facts * num_rows bits -- quadratic when distinct value
-  /// combinations approach the row count -- so Build skips them past
-  /// kMaxScopeBitsWords and the Evaluator falls back to its row-at-a-time
-  /// reference paths (the CSR ScopeRows, whose size is bounded by the
-  /// scope joins themselves, are always available).
+  /// True when the per-fact scope bitsets fit under kMaxScopeBitsWords, so
+  /// ScopeBits() may be called. They cost num_facts * num_rows bits --
+  /// quadratic when distinct value combinations approach the row count -- so
+  /// past the cap the Evaluator falls back to its row-at-a-time reference
+  /// paths (the CSR ScopeRows, whose size is bounded by the scope joins
+  /// themselves, are always available).
   bool HasScopeBits() const { return has_scope_bits_; }
 
   /// Cap on the bitset allocation: 1<<23 64-bit words = 64 MiB per catalog.
@@ -97,17 +109,23 @@ class FactCatalog {
   /// word r/64 is set iff instance row r is within the fact's scope. The
   /// Evaluator ORs these per speech to split rows into covered/uncovered
   /// word-at-a-time instead of re-checking scopes row by row.
+  ///
+  /// Only the speech evaluators read them (Evaluator::Error, Utility and
+  /// RowExpectations: exact search, brute force, the studies); greedy never
+  /// does. So Build does not materialize them: the first ScopeBits() call
+  /// builds every fact's bitset from ScopeRows, once, under std::call_once
+  /// (safe to race from any number of threads), and later calls only read.
   /// Precondition: HasScopeBits().
   std::span<const uint64_t> ScopeBits(FactId id) const {
-    return {scope_bits_.data() + id * scope_words_, scope_words_};
+    return {ScopeBitsTable() + id * scope_words_, scope_words_};
   }
 
-  /// Ascending instance rows within the scope of `id` (the bitset's set
-  /// bits, CSR-packed). Scope-local loops (ApplyFact, the initialization
-  /// join) iterate these instead of scanning the whole block.
+  /// Ascending instance rows within the scope of `id`, CSR-packed. Scope-local
+  /// loops (ApplyFact, the initialization join) iterate these instead of
+  /// scanning the whole block.
   std::span<const uint32_t> ScopeRows(FactId id) const {
-    return {scope_rows_.data() + scope_row_offsets_[id],
-            scope_rows_.data() + scope_row_offsets_[id + 1]};
+    return {scope_rows_.get() + scope_row_offsets_[id],
+            scope_rows_.get() + scope_row_offsets_[id + 1]};
   }
 
   /// SoA block-delta tables aligned entry-for-entry with ScopeRows(id): the
@@ -116,25 +134,20 @@ class FactCatalog {
   /// (simd::Kernels::gather_positive_gain and friends) stream these two
   /// contiguous arrays and only gather the one per-row column that actually
   /// changes between calls (prior/current deviation), instead of re-deriving
-  /// |value - target| row by row inside every join. The three SoA tables
-  /// (devs, weights, prior devs) cost three doubles per (group, row) entry
-  /// -- the same shape as the CSR lists, never quadratic.
+  /// |value - target| row by row inside every join.
+  ///
+  /// Every group partitions the rows, so ScopeRows/ScopeDevs/ScopeWeights
+  /// hold exactly num_groups * num_rows entries at 20 B each (a uint32 row
+  /// and two doubles), plus the 4 B per entry of the groups' row_fact scope
+  /// joins -- the same shape as the joins, never quadratic. Build rejects
+  /// instances whose entry count does not fit the uint32 CSR offsets.
   std::span<const double> ScopeDevs(FactId id) const {
-    return {scope_devs_.data() + scope_row_offsets_[id],
-            scope_devs_.data() + scope_row_offsets_[id + 1]};
+    return {scope_devs_.get() + scope_row_offsets_[id],
+            scope_devs_.get() + scope_row_offsets_[id + 1]};
   }
   std::span<const double> ScopeWeights(FactId id) const {
-    return {scope_weights_.data() + scope_row_offsets_[id],
-            scope_weights_.data() + scope_row_offsets_[id + 1]};
-  }
-  /// |prior - target[row]| per scope entry: the gathered column of the
-  /// initialization join, pre-gathered into CSR order so the single-fact
-  /// utility reduction is a pure dense stream (simd::Kernels::positive_gain,
-  /// no gather at all). Only the greedy iterations, whose deviation column
-  /// changes between calls, still gather.
-  std::span<const double> ScopePriorDevs(FactId id) const {
-    return {scope_prior_devs_.data() + scope_row_offsets_[id],
-            scope_prior_devs_.data() + scope_row_offsets_[id + 1]};
+    return {scope_weights_.get() + scope_row_offsets_[id],
+            scope_weights_.get() + scope_row_offsets_[id + 1]};
   }
 
   /// Decodes a fact's scope as (dimension name, value string) pairs, using
@@ -143,22 +156,28 @@ class FactCatalog {
       const Table& table, const SummaryInstance& instance, FactId id) const;
 
  private:
+  /// Builds the scope bitsets on first use (see ScopeBits); their base.
+  const uint64_t* ScopeBitsTable() const;
+
   std::vector<FactGroup> groups_;
   std::vector<Fact> facts_;
   std::unordered_map<uint32_t, uint32_t> mask_to_group_;
-  /// Per-fact row membership, precomputed once from the scope joins: flat
-  /// num_facts x scope_words_ bitset plus the same sets as CSR row lists
-  /// (exactly num_groups * num_rows entries -- each group partitions rows).
+  /// Per-fact row membership as CSR row lists with their SoA companions
+  /// (see ScopeRows/ScopeDevs/ScopeWeights). Build writes every entry exactly
+  /// once, so the arrays are allocated uninitialized.
+  std::vector<uint32_t> scope_row_offsets_;
+  std::unique_ptr<uint32_t[]> scope_rows_;
+  std::unique_ptr<double[]> scope_devs_;
+  std::unique_ptr<double[]> scope_weights_;
+  /// The flat num_facts x scope_words_ bitset, filled by the first
+  /// ScopeBits() call. Held by pointer so the catalog stays movable.
+  struct LazyScopeBits {
+    std::once_flag once;
+    std::vector<uint64_t> words;
+  };
   size_t scope_words_ = 0;
   bool has_scope_bits_ = false;
-  std::vector<uint64_t> scope_bits_;
-  std::vector<uint32_t> scope_row_offsets_;
-  std::vector<uint32_t> scope_rows_;
-  /// CSR-aligned SoA companions of scope_rows_ (see ScopeDevs/ScopeWeights/
-  /// ScopePriorDevs).
-  std::vector<double> scope_devs_;
-  std::vector<double> scope_weights_;
-  std::vector<double> scope_prior_devs_;
+  std::unique_ptr<LazyScopeBits> scope_bits_;
 };
 
 }  // namespace vq

@@ -45,6 +45,55 @@ uint32_t GroupIndexer::InsertSparse(const ValueId* codes) {
   return it->second;
 }
 
+template <size_t kDims>
+void GroupIndexer::InsertColumnsFixed(const ValueId* const* columns,
+                                      size_t num_rows, uint32_t* ids,
+                                      std::vector<uint32_t>* counts) {
+  ValueId codes[kDims + 1] = {};  // +1: the 0-dimension grouping still needs an array
+  counts->assign(keys_.size(), 0);
+  if (!dense_) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      for (size_t i = 0; i < kDims; ++i) codes[i] = columns[i][r];
+      uint32_t id = InsertSparse(codes);
+      if (id == counts->size()) counts->push_back(0);
+      ids[r] = id;
+      ++(*counts)[id];
+    }
+    return;
+  }
+  // Locals for the members the loop reads: keys_ stores uint64_t, which may
+  // alias them, so they would otherwise be reloaded after every new group.
+  uint64_t radices[kDims + 1] = {};
+  std::copy(radices_, radices_ + kDims, radices);
+  uint32_t* slots = slots_.data();
+  uint32_t* count = counts->data();
+  for (size_t r = 0; r < num_rows; ++r) {
+    uint64_t slot = 0;
+    for (size_t i = 0; i < kDims; ++i) slot = slot * radices[i] + columns[i][r];
+    uint32_t id = slots[slot];
+    if (id == kEmpty) [[unlikely]] {
+      for (size_t i = 0; i < kDims; ++i) codes[i] = columns[i][r];
+      id = InsertDense(slot, codes);
+      counts->push_back(0);
+      count = counts->data();
+    }
+    ids[r] = id;
+    ++count[id];
+  }
+}
+
+void GroupIndexer::InsertColumns(const ValueId* const* columns, size_t num_rows,
+                                 uint32_t* ids, std::vector<uint32_t>* counts) {
+  static_assert(kMaxGroupDims == 4, "one instantiation per dimension count");
+  switch (num_dims_) {
+    case 0: return InsertColumnsFixed<0>(columns, num_rows, ids, counts);
+    case 1: return InsertColumnsFixed<1>(columns, num_rows, ids, counts);
+    case 2: return InsertColumnsFixed<2>(columns, num_rows, ids, counts);
+    case 3: return InsertColumnsFixed<3>(columns, num_rows, ids, counts);
+    default: return InsertColumnsFixed<4>(columns, num_rows, ids, counts);
+  }
+}
+
 namespace {
 
 /// Resets `indexer` to the dictionaries of `dims` and calls

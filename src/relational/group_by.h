@@ -52,14 +52,18 @@ class GroupIndexer {
     if (!dense_) return InsertSparse(codes);
     uint64_t slot = 0;
     for (size_t i = 0; i < num_dims_; ++i) slot = slot * radices_[i] + codes[i];
-    uint32_t& id = slots_[slot];
-    if (id == kEmpty) {
-      id = static_cast<uint32_t>(keys_.size());
-      keys_.push_back(PackGroupKey({codes, num_dims_}));
-      used_slots_.push_back(static_cast<uint32_t>(slot));
-    }
-    return id;
+    return InsertDense(slot, codes);
   }
+
+  /// Column-at-a-time Insert: ids[r] = Insert(codes of row r) for rows
+  /// [0, num_rows), where columns[i][r] is row r's code in dimension i (one
+  /// column per dimension of the last Reset, in dimension order). Also
+  /// leaves in `counts` the number of these rows per group id (one entry
+  /// per id, size() entries). The loop is instantiated per dimension count,
+  /// so the slot arithmetic unrolls; ids and first-seen order are exactly
+  /// those of row-by-row Insert.
+  void InsertColumns(const ValueId* const* columns, size_t num_rows, uint32_t* ids,
+                     std::vector<uint32_t>* counts);
 
   /// Number of groups seen since Reset.
   size_t size() const { return keys_.size(); }
@@ -71,7 +75,19 @@ class GroupIndexer {
  private:
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
+  uint32_t InsertDense(uint64_t slot, const ValueId* codes) {
+    uint32_t& id = slots_[slot];
+    if (id == kEmpty) {
+      id = static_cast<uint32_t>(keys_.size());
+      keys_.push_back(PackGroupKey({codes, num_dims_}));
+      used_slots_.push_back(static_cast<uint32_t>(slot));
+    }
+    return id;
+  }
   uint32_t InsertSparse(const ValueId* codes);
+  template <size_t kDims>
+  void InsertColumnsFixed(const ValueId* const* columns, size_t num_rows,
+                          uint32_t* ids, std::vector<uint32_t>* counts);
 
   size_t num_dims_ = 0;
   size_t radices_[kMaxGroupDims] = {};

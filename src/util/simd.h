@@ -87,11 +87,11 @@ struct Kernels {
   double (*weighted_abs_dev)(double center, const double* values,
                              const double* weights, size_t n);
 
-  /// The single-fact-utility reduction (initialization join, Algorithm 1
-  /// Line 6), fully dense: sum over k of max(0, current[k] - devs[k]) *
-  /// weights[k]. All three arrays are CSR-aligned SoA tables, so this
-  /// streams with no gather -- the reason FactCatalog materializes the
-  /// prior-deviation column per scope entry.
+  /// The dense form of gather_positive_gain: sum over k of
+  /// max(0, current[k] - devs[k]) * weights[k], all three arrays aligned.
+  /// No caller in the library since the catalog stopped materializing a
+  /// per-entry prior-deviation column (the initialization join gathers it
+  /// instead); bench/simd_kernels.cpp still measures it.
   double (*positive_gain)(const double* current, const double* devs,
                           const double* weights, size_t n);
 

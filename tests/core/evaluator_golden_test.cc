@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.h"
+#include "core/exact.h"
 #include "testing/random_instance.h"
+#include "util/simd.h"
 
 namespace vq {
 namespace {
@@ -118,6 +122,81 @@ TEST(EvaluatorGoldenTest, SingleFactUtilitiesMatchReferenceExactly) {
   // Scope popcounts per group sum to the seed's per-group row charge.
   EXPECT_EQ(fast_counters.join_rows, reference_counters.join_rows);
   EXPECT_EQ(fast_counters.groups_joined, reference_counters.groups_joined);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+class ScopedKernelOverride {
+ public:
+  explicit ScopedKernelOverride(const simd::Kernels* kernels) {
+    simd::SetActiveForTesting(kernels);
+  }
+  ~ScopedKernelOverride() { simd::SetActiveForTesting(nullptr); }
+};
+
+TEST(EvaluatorGoldenTest, SingleFactUtilitiesMatchPreGatheredPositiveGain) {
+  // The initialization join gathers the prior deviation per scope row. The
+  // reference pre-gathers that column into CSR order and streams it through
+  // the dense positive_gain kernel of the same table. The scalar and avx512
+  // kernel pairs accumulate identically (bit-equal); avx2's dense kernel
+  // runs two accumulators where its gather kernel runs one (relative 1e-12).
+  for (const simd::Kernels* impl : simd::AllImplementations()) {
+    SCOPED_TRACE(impl->name);
+    ScopedKernelOverride override_kernels(impl);
+    bool bit_equal = std::string(impl->name) == "scalar" ||
+                     std::string(impl->name) == "avx512";
+    for (uint64_t seed : {5ull, 1234ull}) {
+      RandomProblem problem = MakeRandomProblem(seed, 3, 4, 300, 30, 2);
+      const Evaluator& evaluator = *problem.evaluator;
+      const FactCatalog& catalog = *problem.catalog;
+      std::vector<double> got = evaluator.SingleFactUtilities();
+      ASSERT_EQ(got.size(), catalog.NumFacts());
+      for (FactId id = 0; id < catalog.NumFacts(); ++id) {
+        std::vector<double> prior_devs;
+        for (uint32_t r : catalog.ScopeRows(id)) {
+          prior_devs.push_back(evaluator.PriorDeviations()[r]);
+        }
+        double expected = impl->positive_gain(
+            prior_devs.data(), catalog.ScopeDevs(id).data(),
+            catalog.ScopeWeights(id).data(), prior_devs.size());
+        if (bit_equal) {
+          EXPECT_EQ(Bits(got[id]), Bits(expected)) << "fact " << id;
+        } else {
+          EXPECT_NEAR(got[id], expected, 1e-12 * std::max(1.0, std::fabs(expected)))
+              << "fact " << id;
+        }
+      }
+    }
+  }
+}
+
+TEST(EvaluatorGoldenTest, ExactSolveIndependentOfWhenScopeBitsAreBuilt) {
+  // The catalog builds its scope bitsets on the first ScopeBits() call. An
+  // exact solve (whose leaves evaluate Error over the bitsets) must not
+  // depend on whether that call happened before it or inside it.
+  ExactOptions options;
+  options.max_facts = 3;
+  for (uint64_t seed : {11ull, 20210318ull}) {
+    RandomProblem cold = MakeRandomProblem(seed, 3, 4, 160, 25, 2);
+    RandomProblem warm = MakeRandomProblem(seed, 3, 4, 160, 25, 2);
+    ASSERT_TRUE(warm.catalog->HasScopeBits());
+    (void)warm.catalog->ScopeBits(0);
+    SummaryResult a = ExactSummary(*cold.evaluator, options);
+    SummaryResult b = ExactSummary(*warm.evaluator, options);
+    EXPECT_EQ(a.facts, b.facts) << "seed " << seed;
+    EXPECT_EQ(Bits(a.utility), Bits(b.utility)) << "seed " << seed;
+    EXPECT_EQ(Bits(a.error), Bits(b.error)) << "seed " << seed;
+    EXPECT_EQ(a.counters.leaf_evals, b.counters.leaf_evals) << "seed " << seed;
+    EXPECT_EQ(a.counters.nodes_expanded, b.counters.nodes_expanded);
+    EXPECT_EQ(a.counters.join_rows, b.counters.join_rows);
+    // And both agree with the row-at-a-time reference on the chosen speech.
+    double reference = cold.evaluator->ErrorReference(a.facts);
+    EXPECT_NEAR(a.error, reference, 1e-12 * std::max(1.0, std::fabs(reference)));
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "relational/group_by.h"
@@ -138,9 +139,12 @@ TEST_F(CatalogTest, RejectsTooManyFactDims) {
 /// A random table whose dimension d draws row values from the last
 /// used_cards[d] of dict_cards[d] interned values: dictionary cardinalities
 /// (the catalog's radices) can exceed what the rows use, and the highest
-/// codes, the top radix digits, are always in play.
+/// codes, the top radix digits, are always in play. Targets are integers
+/// 0-9, or with `fractional_targets` those divided by 7 plus 0.1, whose
+/// weighted sums round differently when added in another order.
 Table MakeRandomTable(uint64_t seed, const std::vector<size_t>& dict_cards,
-                      const std::vector<size_t>& used_cards, int num_rows) {
+                      const std::vector<size_t>& used_cards, int num_rows,
+                      bool fractional_targets = false) {
   Rng rng(seed);
   Table table("random");
   for (size_t d = 0; d < dict_cards.size(); ++d) {
@@ -156,7 +160,9 @@ Table MakeRandomTable(uint64_t seed, const std::vector<size_t>& dict_cards,
       size_t code = dict_cards[d] - 1 - rng.NextBelow(used_cards[d]);
       values[d] = "v" + std::to_string(code);
     }
-    EXPECT_TRUE(table.AppendRow(values, {static_cast<double>(rng.NextInt(0, 9))}).ok());
+    double target = static_cast<double>(rng.NextInt(0, 9));
+    if (fractional_targets) target = target / 7.0 + 0.1;
+    EXPECT_TRUE(table.AppendRow(values, {target}).ok());
   }
   return table;
 }
@@ -223,14 +229,13 @@ void ExpectCatalogMatchesReference(const SummaryInstance& inst, int max_fact_dim
   for (FactId id = 0; id < facts.size(); ++id) {
     const std::vector<FactId>& row_fact = row_facts[facts[id].group];
     std::vector<uint32_t> rows;
-    std::vector<uint64_t> devs, weights, prior_devs;
+    std::vector<uint64_t> devs, weights;
     std::vector<uint64_t> bits(catalog.ScopeWords(), 0);
     for (uint32_t r = 0; r < inst.num_rows; ++r) {
       if (row_fact[r] != id) continue;
       rows.push_back(r);
       devs.push_back(Bits(std::fabs(facts[id].value - inst.target[r])));
       weights.push_back(Bits(inst.weight[r]));
-      prior_devs.push_back(Bits(std::fabs(inst.prior - inst.target[r])));
       bits[r >> 6] |= uint64_t{1} << (r & 63);
     }
     auto as_bits = [](std::span<const double> xs) {
@@ -243,7 +248,6 @@ void ExpectCatalogMatchesReference(const SummaryInstance& inst, int max_fact_dim
     EXPECT_EQ(std::vector<uint32_t>(got_rows.begin(), got_rows.end()), rows) << id;
     EXPECT_EQ(as_bits(catalog.ScopeDevs(id)), devs) << "fact " << id;
     EXPECT_EQ(as_bits(catalog.ScopeWeights(id)), weights) << "fact " << id;
-    EXPECT_EQ(as_bits(catalog.ScopePriorDevs(id)), prior_devs) << "fact " << id;
     EXPECT_EQ(std::vector<uint64_t>(got_bits.begin(), got_bits.end()), bits) << id;
   }
 }
@@ -267,6 +271,18 @@ TEST(CatalogDifferentialTest, MatchesMapReferenceOnRandomInstances) {
   }
 }
 
+TEST(CatalogDifferentialTest, MatchesMapReferenceWithFractionalTargets) {
+  // Typical values must keep the exact bits of a row-order accumulation;
+  // integer targets would hide a different summation order.
+  for (uint64_t seed : {4ull, 9ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Table table = MakeRandomTable(seed, {5, 3, 8, 4}, {5, 3, 8, 4}, 900, true);
+    auto inst = BuildInstance(table, {}, 0);
+    ASSERT_TRUE(inst.ok());
+    ExpectCatalogMatchesReference(inst.value(), 3);
+  }
+}
+
 TEST(CatalogDifferentialTest, MatchesMapReferencePastDenseSlotBound) {
   // 300 x 300 dictionary values: the pair group's radix product (90 000)
   // exceeds GroupIndexer::kMaxDenseSlots, so it takes the hash-map
@@ -287,6 +303,72 @@ TEST(CatalogDifferentialTest, MatchesMapReferenceAtPackableCardinalityLimit) {
   auto inst = BuildInstance(table, {}, 0);
   ASSERT_TRUE(inst.ok());
   ExpectCatalogMatchesReference(inst.value(), 4);
+}
+
+/// Every fact's scope bitset derived from the scope joins alone.
+std::vector<uint64_t> ReferenceScopeBits(const FactCatalog& catalog, size_t num_rows) {
+  std::vector<uint64_t> bits(catalog.NumFacts() * catalog.ScopeWords(), 0);
+  for (const FactGroup& group : catalog.groups()) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      bits[group.row_fact[r] * catalog.ScopeWords() + (r >> 6)] |= uint64_t{1}
+                                                                  << (r & 63);
+    }
+  }
+  return bits;
+}
+
+TEST(CatalogScopeBitsTest, ConcurrentFirstCallsBuildTheReferenceBitsets) {
+  // Build leaves the bitsets unbuilt; four threads race the first
+  // ScopeBits() calls on one catalog (the call_once build) and each copies
+  // every fact's bitset out.
+  Table table = MakeRandomTable(5, {6, 7, 5, 4}, {6, 7, 5, 4}, 700);
+  auto inst = BuildInstance(table, {}, 0);
+  ASSERT_TRUE(inst.ok());
+  auto built = FactCatalog::Build(inst.value(), 3);
+  ASSERT_TRUE(built.ok());
+  const FactCatalog& catalog = built.value();
+  ASSERT_TRUE(catalog.HasScopeBits());
+  constexpr int kThreads = 4;
+  std::vector<std::vector<uint64_t>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&catalog, &seen, t] {
+      // Start at different facts so the threads do not all enter through
+      // the same id.
+      size_t n = catalog.NumFacts();
+      std::vector<uint64_t>& out = seen[static_cast<size_t>(t)];
+      out.resize(n * catalog.ScopeWords());
+      for (size_t i = 0; i < n; ++i) {
+        FactId id = static_cast<FactId>((i + static_cast<size_t>(t) * n / kThreads) % n);
+        std::span<const uint64_t> bits = catalog.ScopeBits(id);
+        std::copy(bits.begin(), bits.end(), out.begin() + id * catalog.ScopeWords());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  std::vector<uint64_t> reference = ReferenceScopeBits(catalog, inst.value().num_rows);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<size_t>(t)], reference) << t;
+}
+
+TEST(CatalogLimitsTest, RejectsScopeJoinPastUint32Offsets) {
+  // 31 dimensions of cardinality 1 with max_fact_dims = 4 enumerate
+  // 1 + 31 + 465 + 4495 + 31465 = 36 457 groups; over 117 810 rows that is
+  // 4 294 999 170 (group, row) entries, just past UINT32_MAX. Build must
+  // refuse before allocating the ~17 GB of scope joins.
+  constexpr size_t kDims = 31;
+  constexpr size_t kRows = 117810;
+  SummaryInstance inst;
+  for (size_t d = 0; d < kDims; ++d) inst.dims.push_back(static_cast<int>(d));
+  inst.dim_cardinalities.assign(kDims, 1);
+  inst.num_rows = kRows;
+  inst.total_weight = static_cast<double>(kRows);
+  inst.codes.assign(kDims * kRows, 0);
+  inst.target.assign(kRows, 1.0);
+  inst.weight.assign(kRows, 1.0);
+  auto built = FactCatalog::Build(inst, 4);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kUnsupported)
+      << built.status().ToString();
 }
 
 }  // namespace

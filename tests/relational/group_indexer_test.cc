@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "relational/group_by.h"
@@ -57,6 +58,56 @@ TEST(GroupIndexerTest, DenseAndSparsePathsAgree) {
   EXPECT_EQ(sparse.Insert(nullptr), 0u);
   EXPECT_EQ(sparse.size(), 1u);
   EXPECT_EQ(sparse.key(0), PackGroupKey({}));
+}
+
+/// InsertColumns must hand out exactly the ids row-by-row Insert does, on
+/// both paths and for every dimension count, and count rows per id.
+TEST(GroupIndexerTest, InsertColumnsMatchesRowByRowInsert) {
+  constexpr size_t kRows = 1500;
+  for (size_t dims = 0; dims <= kMaxGroupDims; ++dims) {
+    for (bool dense_path : {true, false}) {
+      // One packable dimension never exceeds kMaxDenseSlots.
+      if (!dense_path && dims < 2) continue;
+      SCOPED_TRACE("dims " + std::to_string(dims) + (dense_path ? " dense" : " sparse"));
+      std::vector<size_t> radices;
+      for (size_t d = 0; d < dims; ++d) radices.push_back(d == 0 && !dense_path ? kMaxPackableCode : 2 + d);
+      Rng rng(17 + dims);
+      std::vector<std::vector<ValueId>> columns(dims, std::vector<ValueId>(kRows));
+      const ValueId* column_ptrs[kMaxGroupDims] = {};
+      for (size_t d = 0; d < dims; ++d) {
+        // The sparse path's first dimension uses only a few of its codes,
+        // the top ones included.
+        for (ValueId& code : columns[d]) {
+          size_t used = d == 0 && !dense_path ? 9 : radices[d];
+          code = static_cast<ValueId>(radices[d] - 1 - rng.NextBelow(used));
+        }
+        column_ptrs[d] = columns[d].data();
+      }
+      GroupIndexer rowwise;
+      GroupIndexer columnwise;
+      rowwise.Reset(radices);
+      columnwise.Reset(radices);
+      ASSERT_EQ(columnwise.dense(), dense_path);
+      std::vector<uint32_t> expected_ids(kRows);
+      std::vector<uint32_t> expected_counts;
+      for (size_t r = 0; r < kRows; ++r) {
+        ValueId codes[kMaxGroupDims] = {};
+        for (size_t d = 0; d < dims; ++d) codes[d] = columns[d][r];
+        expected_ids[r] = rowwise.Insert(codes);
+        if (expected_ids[r] == expected_counts.size()) expected_counts.push_back(0);
+        ++expected_counts[expected_ids[r]];
+      }
+      std::vector<uint32_t> ids(kRows);
+      std::vector<uint32_t> counts = {99};  // stale contents are replaced
+      columnwise.InsertColumns(column_ptrs, kRows, ids.data(), &counts);
+      EXPECT_EQ(ids, expected_ids);
+      EXPECT_EQ(counts, expected_counts);
+      ASSERT_EQ(columnwise.size(), rowwise.size());
+      for (uint32_t id = 0; id < rowwise.size(); ++id) {
+        EXPECT_EQ(columnwise.key(id), rowwise.key(id));
+      }
+    }
+  }
 }
 
 }  // namespace

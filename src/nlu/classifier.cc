@@ -1,5 +1,7 @@
 #include "nlu/classifier.h"
 
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace vq {
@@ -25,6 +27,11 @@ const char* QueryKindName(QueryKind kind) {
 }
 
 ClassifiedRequest RequestClassifier::Classify(const std::string& text) const {
+  return Classify(text, extractor_->Extract(text));
+}
+
+ClassifiedRequest RequestClassifier::Classify(const std::string& text,
+                                              ExtractedQuery query) const {
   ClassifiedRequest out;
   std::string lower = ToLower(text);
 
@@ -50,7 +57,7 @@ ClassifiedRequest RequestClassifier::Classify(const std::string& text) const {
   bool extremum = contains_any({"highest", "lowest", "most", "least", "best",
                                 "worst", "maximum", "minimum", "max ", "min "});
 
-  out.query = extractor_->Extract(text);
+  out.query = std::move(query);
   bool data_access = out.query.HasTarget() || !out.query.predicates.empty();
 
   if (!data_access) {

@@ -46,6 +46,11 @@ class RequestClassifier {
 
   ClassifiedRequest Classify(const std::string& text) const;
 
+  /// Same keyword rules, for a request whose extraction the caller already
+  /// holds: `query` must be this classifier's extractor's Extract(text) (a
+  /// router passes the winning dataset's walk), so no second walk runs.
+  ClassifiedRequest Classify(const std::string& text, ExtractedQuery query) const;
+
  private:
   const QueryExtractor* extractor_;
   int max_predicates_;

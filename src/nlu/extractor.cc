@@ -2,54 +2,110 @@
 
 #include <algorithm>
 
-#include "util/string_util.h"
-
 namespace vq {
 
 namespace {
 
-bool IsStopWord(const std::string& token) {
-  static const char* const kStopWords[] = {
+// Character classes of the C locale, without a libc call per byte.
+bool IsSpace(unsigned char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsTokenChar(unsigned char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+         c == '-' || c == '+';
+}
+
+char ToLowerAscii(unsigned char c) {
+  return static_cast<char>(c >= 'A' && c <= 'Z' ? c + ('a' - 'A') : c);
+}
+
+bool IsStopWord(std::string_view token) {
+  static constexpr std::string_view kStopWords[] = {
       "the", "a",  "an", "in", "on",  "of",  "for", "about", "what", "whats",
       "is",  "are", "how", "much", "many", "me",  "tell", "show",  "give",
       "please", "average", "rate", "per", "and", "to", "by"};
-  for (const char* w : kStopWords) {
+  for (std::string_view w : kStopWords) {
     if (token == w) return true;
   }
   return false;
 }
 
-std::string NormalizeToken(const std::string& token) {
-  std::string out;
-  for (char c : token) {
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '-' || c == '+') {
-      out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  return out;
-}
-
-std::vector<std::string> Tokenize(const std::string& text) {
-  std::vector<std::string> out;
-  for (const auto& raw : SplitWhitespace(text)) {
-    std::string token = NormalizeToken(raw);
-    if (!token.empty()) out.push_back(std::move(token));
-  }
-  return out;
-}
-
-/// "delay_minutes" -> tokens {"delay", "minutes"}; "Staten Island" ->
-/// {"staten", "island"}.
-std::vector<std::string> PhraseTokens(const std::string& phrase) {
-  std::string spaced;
-  for (char c : phrase) spaced.push_back(c == '_' ? ' ' : c);
-  return Tokenize(spaced);
-}
-
 }  // namespace
 
+TokenizedText::TokenizedText(std::string_view text) {
+  text_.reserve(text.size());
+  tokens_.reserve(text.size() / 2 + 1);  // a token and a separator each
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && IsSpace(static_cast<unsigned char>(text[i]))) ++i;
+    size_t word_start = text_.size();
+    if (word_start > 0) text_.push_back(' ');
+    size_t token_start = text_.size();
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (; i < text.size() && !IsSpace(static_cast<unsigned char>(text[i])); ++i) {
+      unsigned char c = static_cast<unsigned char>(text[i]);
+      if (IsTokenChar(c)) {
+        char lower = ToLowerAscii(c);
+        text_.push_back(lower);
+        hash = (hash ^ static_cast<unsigned char>(lower)) * 0x100000001b3ull;
+      }
+    }
+    if (text_.size() == token_start) {
+      text_.resize(word_start);  // nothing survived: drop the separator too
+    } else {
+      tokens_.push_back({text_.size(), hash});
+    }
+  }
+}
+
+const QueryExtractor::Grounding* QueryExtractor::PhraseTable::Find(
+    std::string_view key, uint64_t hash) const {
+  if (size_ == 0) return nullptr;
+  const Slot& slot = slots_[Probe(key, hash)];
+  return slot.length == 0 ? nullptr : &slot.grounding;
+}
+
+size_t QueryExtractor::PhraseTable::Probe(std::string_view key, uint64_t hash) const {
+  size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.length == 0) return i;
+    if (slot.hash == hash && slot.length == key.size() &&
+        std::string_view(keys_).substr(slot.offset, slot.length) == key) {
+      return i;
+    }
+  }
+}
+
+const QueryExtractor::Grounding& QueryExtractor::PhraseTable::Insert(
+    std::string_view key, uint64_t hash, const Grounding& grounding) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();
+  Slot& slot = slots_[Probe(key, hash)];
+  if (slot.length == 0) {
+    slot.hash = hash;
+    slot.offset = keys_.size();
+    slot.length = key.size();
+    slot.grounding = grounding;
+    keys_.append(key);
+    ++size_;
+  }
+  return slot.grounding;
+}
+
+void QueryExtractor::PhraseTable::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max<size_t>(16, 2 * old.size()), Slot{});
+  size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.length == 0) continue;
+    size_t i = slot.hash & mask;
+    while (slots_[i].length != 0) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
 QueryExtractor::QueryExtractor(const Table* table) : table_(table) {
-  // Dimension values.
+  // Dimension values. A value spelled like an earlier one (in another
+  // dimension) keeps the first binding.
   for (size_t d = 0; d < table_->NumDims(); ++d) {
     const Dictionary& dict = table_->dict(d);
     for (ValueId v = 0; v < dict.size(); ++v) {
@@ -69,11 +125,15 @@ QueryExtractor::QueryExtractor(const Table* table) : table_(table) {
   }
 }
 
-void QueryExtractor::AddPhrase(const std::string& phrase, Grounding grounding) {
-  std::vector<std::string> tokens = PhraseTokens(phrase);
-  if (tokens.empty()) return;
+bool QueryExtractor::AddPhrase(const std::string& phrase, const Grounding& grounding) {
+  // "delay_minutes" -> "delay minutes"; "Staten Island" -> "staten island".
+  std::string spaced = phrase;
+  std::replace(spaced.begin(), spaced.end(), '_', ' ');
+  TokenizedText tokens(spaced);
+  if (tokens.size() == 0) return true;
   max_phrase_tokens_ = std::max(max_phrase_tokens_, tokens.size());
-  vocabulary_.emplace(std::move(tokens), grounding);
+  return vocabulary_.Insert(tokens.Span(0, tokens.size()),
+                            tokens.SpanHash(0, tokens.size()), grounding) == grounding;
 }
 
 Status QueryExtractor::AddTargetSynonym(const std::string& phrase,
@@ -83,7 +143,9 @@ Status QueryExtractor::AddTargetSynonym(const std::string& phrase,
   Grounding g;
   g.kind = Grounding::Kind::kTarget;
   g.target_index = idx;
-  AddPhrase(phrase, g);
+  if (!AddPhrase(phrase, g)) {
+    return Status::AlreadyExists("phrase '" + phrase + "' is already bound");
+  }
   return Status::OK();
 }
 
@@ -100,7 +162,9 @@ Status QueryExtractor::AddValueSynonym(const std::string& phrase,
   g.kind = Grounding::Kind::kValue;
   g.dim = dim;
   g.value = *code;
-  AddPhrase(phrase, g);
+  if (!AddPhrase(phrase, g)) {
+    return Status::AlreadyExists("phrase '" + phrase + "' is already bound");
+  }
   return Status::OK();
 }
 
@@ -113,61 +177,67 @@ double VocabularyCoverage::Score() const {
   return coverage + bonus;
 }
 
-QueryExtractor::WalkResult QueryExtractor::Walk(const std::string& text) const {
-  WalkResult out;
-  std::vector<std::string> tokens = Tokenize(text);
+VocabularyCoverage QueryExtractor::Walk(const TokenizedText& tokens,
+                                        ExtractedQuery* query) const {
+  VocabularyCoverage coverage;
   size_t i = 0;
   while (i < tokens.size()) {
     // Longest-match-first against the vocabulary.
-    bool matched = false;
-    size_t max_len = std::min(max_phrase_tokens_, tokens.size() - i);
-    for (size_t len = max_len; len >= 1; --len) {
-      std::vector<std::string> candidate(tokens.begin() + static_cast<long>(i),
-                                         tokens.begin() + static_cast<long>(i + len));
-      auto it = vocabulary_.find(candidate);
-      if (it == vocabulary_.end()) continue;
-      const Grounding& g = it->second;
-      if (g.kind == Grounding::Kind::kTarget) {
-        if (out.query.target_index < 0) out.query.target_index = g.target_index;
-        out.coverage.matched_target = true;
-      } else {
-        ++out.coverage.matched_values;
-        bool duplicate_dim = false;
-        for (const auto& p : out.query.predicates) {
-          if (p.dim == g.dim) {
-            duplicate_dim = true;
-            break;
-          }
-        }
-        if (!duplicate_dim) {
-          out.query.predicates.push_back(EqPredicate{g.dim, g.value});
-        }
-      }
-      out.coverage.grounded_tokens += len;
-      out.coverage.content_tokens += len;
-      i += len;
-      matched = true;
-      break;
+    const Grounding* g = nullptr;
+    size_t len = std::min(max_phrase_tokens_, tokens.size() - i);
+    for (; len >= 1; --len) {
+      g = vocabulary_.Find(tokens.Span(i, i + len), tokens.SpanHash(i, i + len));
+      if (g != nullptr) break;
     }
-    if (!matched) {
-      if (!IsStopWord(tokens[i])) {
-        out.query.unmatched_tokens.push_back(tokens[i]);
-        ++out.coverage.content_tokens;
+    if (g == nullptr) {
+      std::string_view token = tokens.Span(i, i + 1);
+      if (!IsStopWord(token)) {
+        if (query != nullptr) query->unmatched_tokens.emplace_back(token);
+        ++coverage.content_tokens;
       }
       ++i;
+      continue;
     }
+    if (g->kind == Grounding::Kind::kTarget) {
+      if (query != nullptr && query->target_index < 0) {
+        query->target_index = g->target_index;
+      }
+      coverage.matched_target = true;
+    } else {
+      ++coverage.matched_values;
+      if (query != nullptr &&
+          std::none_of(query->predicates.begin(), query->predicates.end(),
+                       [g](const EqPredicate& p) { return p.dim == g->dim; })) {
+        query->predicates.push_back(EqPredicate{g->dim, g->value});
+      }
+    }
+    coverage.grounded_tokens += len;
+    coverage.content_tokens += len;
+    i += len;
   }
-  Status st = NormalizePredicates(&out.query.predicates);
-  (void)st;  // duplicates filtered above
-  return out;
+  if (query != nullptr) {
+    Status st = NormalizePredicates(&query->predicates);
+    (void)st;  // duplicates filtered above
+  }
+  return coverage;
 }
 
 ExtractedQuery QueryExtractor::Extract(const std::string& text) const {
-  return Walk(text).query;
+  return Extract(TokenizedText(text));
+}
+
+ExtractedQuery QueryExtractor::Extract(const TokenizedText& tokens) const {
+  ExtractedQuery query;
+  Walk(tokens, &query);
+  return query;
 }
 
 VocabularyCoverage QueryExtractor::Coverage(const std::string& text) const {
-  return Walk(text).coverage;
+  return Coverage(TokenizedText(text));
+}
+
+VocabularyCoverage QueryExtractor::Coverage(const TokenizedText& tokens) const {
+  return Walk(tokens, nullptr);
 }
 
 }  // namespace vq

@@ -94,121 +94,53 @@ EngineHost::EngineHost(std::string name, const VoiceQueryEngine* engine,
   summarizer_options_.instance.prior_value = config.prior_value;
 }
 
-ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
-                                 const Deadline* deadline) {
-  Stopwatch watch;
+std::optional<EngineHost::GroundedRequest> EngineHost::ClassifyAndGround(
+    const std::string& request, std::optional<ExtractedQuery> extracted,
+    obs::Trace* trace, ServeResponse* response) {
   // relaxed: monotonic stats counter.
   stats_.requests.fetch_add(1, std::memory_order_relaxed);
-  ServeResponse response;
   size_t classify_span = trace ? trace->BeginSpan("classify") : 0;
-  ClassifiedRequest classified = engine_->classifier().Classify(request);
+  const RequestClassifier& classifier = engine_->classifier();
+  ClassifiedRequest classified =
+      extracted.has_value() ? classifier.Classify(request, std::move(*extracted))
+                            : classifier.Classify(request);
   if (trace) trace->EndSpan(classify_span);
-  response.type = classified.type;
+  response->type = classified.type;
 
   switch (classified.type) {
     case RequestType::kHelp:
-      response.text = engine_->HelpText();
-      break;
+      response->text = engine_->HelpText();
+      return std::nullopt;
     case RequestType::kRepeat:
       // Hosts are sessionless; per-user repeat memory lives in the
       // connection layer (VoiceQueryEngine::Session).
-      response.text = VoiceQueryEngine::NothingToRepeatText();
-      break;
+      response->text = VoiceQueryEngine::NothingToRepeatText();
+      return std::nullopt;
     case RequestType::kOther:
-      response.text = VoiceQueryEngine::NotUnderstoodText();
-      break;
+      response->text = VoiceQueryEngine::NotUnderstoodText();
+      return std::nullopt;
     case RequestType::kSupportedQuery:
-    case RequestType::kUnsupportedQuery: {
-      // relaxed: monotonic stats counter.
-      stats_.queries.fetch_add(1, std::memory_order_relaxed);
-      size_t ground_span = trace ? trace->BeginSpan("ground") : 0;
-      VoiceQuery query = engine_->GroundQuery(classified);
-      std::string key = CanonicalQueryKey(fingerprint_, query);
-      if (trace) trace->EndSpan(ground_span);
-
-      if (deadline != nullptr && deadline->Expired()) {
-        // Budget gone before any lookup: serve what is already rendered
-        // (fresh, or TTL-expired marked stale) or apologize; never start
-        // compute for a request whose caller has given up.
-        ServeCachedOrApology(&response, key, ServeStatus::kTimeout);
-        break;
-      }
-
-      size_t lookup_span = trace ? trace->BeginSpan("cache_lookup") : 0;
-      ServedAnswerPtr answer = cache_->Get(key);
-      if (trace) trace->EndSpan(lookup_span);
-      if (answer != nullptr) {
-        // relaxed: monotonic stats counter.
-        stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-        response.cache_hit = true;
-      } else {
-        // relaxed: monotonic stats counter.
-        stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-        InflightCoalescer::Ticket ticket = coalescer_->Join(key);
-        if (ticket.leader) {
-          // Double-checked miss: between our Get and winning leadership, a
-          // previous leader may have computed, cached and retired this key.
-          // Without the re-check we would run a second summarization and
-          // break the exactly-once-per-unique-query guarantee.
-          answer = cache_->Get(key);
-          if (answer == nullptr) {
-            obs::ScopedSpan compute_span(trace, "compute");
-            try {
-              answer = ComputeAnswer(query, trace, deadline);
-            } catch (...) {
-              // Followers block until Fulfill (coalescer contract); never
-              // leave them hanging, whatever ComputeAnswer threw.
-              auto failed = std::make_shared<ServedAnswer>();
-              failed->text = VoiceQueryEngine::NoSummaryText();
-              failed->source = AnswerSource::kUnanswerable;
-              coalescer_->Fulfill(key, failed);
-              throw;
-            }
-            // Degraded answers are request-specific (their truncation came
-            // from THIS request's budget) and deadline-starved unanswerables
-            // may be answerable with time: neither is cached.
-            bool starved = deadline != nullptr && deadline->Expired();
-            if (answer->answered && !answer->degraded) {
-              cache_->Put(key, answer, options_.answer_ttl_seconds,
-                          fingerprint_, options_.cache_byte_quota);
-            } else if (!answer->answered && !starved &&
-                       options_.cache_unanswerable) {
-              cache_->Put(key, answer, options_.unanswerable_ttl_seconds,
-                          fingerprint_, options_.cache_byte_quota);
-            }
-          }
-          coalescer_->Fulfill(key, answer);
-        } else {
-          // relaxed: monotonic stats counter.
-          stats_.coalesced_waits.fetch_add(1, std::memory_order_relaxed);
-          response.coalesced = true;
-          Stopwatch wait_watch;
-          obs::ScopedSpan wait_span(trace, "coalesce_wait");
-          answer = coalescer_->WaitBounded(ticket, deadline);
-          coalesced_wait_hist_->Record(wait_watch.ElapsedSeconds());
-          if (answer == nullptr) {
-            // The leader outlived our budget; degrade rather than block.
-            ServeCachedOrApology(&response, key, ServeStatus::kTimeout);
-            break;
-          }
-        }
-      }
-      response.text = answer->text;
-      response.source = answer->source;
-      response.answered = answer->answered;
-      if (answer->degraded) {
-        response.status = ServeStatus::kDegraded;
-      } else if (!answer->answered && deadline != nullptr &&
-                 deadline->Expired()) {
-        // Nothing produced and the budget is gone: the caller cannot tell
-        // "genuinely unanswerable" from "ran out of time", so report the
-        // honest one.
-        response.status = ServeStatus::kTimeout;
-        response.text = VoiceQueryEngine::TimedOutText();
-      }
+    case RequestType::kUnsupportedQuery:
       break;
-    }
   }
+  // relaxed: monotonic stats counter.
+  stats_.queries.fetch_add(1, std::memory_order_relaxed);
+  size_t ground_span = trace ? trace->BeginSpan("ground") : 0;
+  GroundedRequest grounded;
+  grounded.query = engine_->GroundQuery(classified);
+  grounded.key = CanonicalQueryKey(fingerprint_, grounded.query);
+  if (trace) trace->EndSpan(ground_span);
+  return grounded;
+}
+
+ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
+                                 const Deadline* deadline,
+                                 std::optional<ExtractedQuery> extracted) {
+  Stopwatch watch;
+  ServeResponse response;
+  std::optional<GroundedRequest> grounded =
+      ClassifyAndGround(request, std::move(extracted), trace, &response);
+  if (grounded.has_value()) ServeQuery(*grounded, trace, deadline, &response);
 
   // A timed-out request's caller is gone; vocalizing the apology would hold
   // the worker for nothing (under overload, precisely when it hurts most).
@@ -224,37 +156,101 @@ ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
   return response;
 }
 
+void EngineHost::ServeQuery(const GroundedRequest& grounded, obs::Trace* trace,
+                            const Deadline* deadline, ServeResponse* response) {
+  const std::string& key = grounded.key;
+  if (deadline != nullptr && deadline->Expired()) {
+    // Budget gone before any lookup: serve what is already rendered
+    // (fresh, or TTL-expired marked stale) or apologize; never start
+    // compute for a request whose caller has given up.
+    ServeCachedOrApology(response, key, ServeStatus::kTimeout);
+    return;
+  }
+
+  size_t lookup_span = trace ? trace->BeginSpan("cache_lookup") : 0;
+  ServedAnswerPtr answer = cache_->Get(key);
+  if (trace) trace->EndSpan(lookup_span);
+  if (answer != nullptr) {
+    // relaxed: monotonic stats counter.
+    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+    response->cache_hit = true;
+  } else {
+    // relaxed: monotonic stats counter.
+    stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    InflightCoalescer::Ticket ticket = coalescer_->Join(key);
+    if (ticket.leader) {
+      // Double-checked miss: between our Get and winning leadership, a
+      // previous leader may have computed, cached and retired this key.
+      // Without the re-check we would run a second summarization and
+      // break the exactly-once-per-unique-query guarantee.
+      answer = cache_->Get(key);
+      if (answer == nullptr) {
+        obs::ScopedSpan compute_span(trace, "compute");
+        try {
+          answer = ComputeAnswer(grounded.query, trace, deadline);
+        } catch (...) {
+          // Followers block until Fulfill (coalescer contract); never
+          // leave them hanging, whatever ComputeAnswer threw.
+          auto failed = std::make_shared<ServedAnswer>();
+          failed->text = VoiceQueryEngine::NoSummaryText();
+          failed->source = AnswerSource::kUnanswerable;
+          coalescer_->Fulfill(key, failed);
+          throw;
+        }
+        // Degraded answers are request-specific (their truncation came
+        // from THIS request's budget) and deadline-starved unanswerables
+        // may be answerable with time: neither is cached.
+        bool starved = deadline != nullptr && deadline->Expired();
+        if (answer->answered && !answer->degraded) {
+          cache_->Put(key, answer, options_.answer_ttl_seconds,
+                      fingerprint_, options_.cache_byte_quota);
+        } else if (!answer->answered && !starved &&
+                   options_.cache_unanswerable) {
+          cache_->Put(key, answer, options_.unanswerable_ttl_seconds,
+                      fingerprint_, options_.cache_byte_quota);
+        }
+      }
+      coalescer_->Fulfill(key, answer);
+    } else {
+      // relaxed: monotonic stats counter.
+      stats_.coalesced_waits.fetch_add(1, std::memory_order_relaxed);
+      response->coalesced = true;
+      Stopwatch wait_watch;
+      obs::ScopedSpan wait_span(trace, "coalesce_wait");
+      answer = coalescer_->WaitBounded(ticket, deadline);
+      coalesced_wait_hist_->Record(wait_watch.ElapsedSeconds());
+      if (answer == nullptr) {
+        // The leader outlived our budget; degrade rather than block.
+        ServeCachedOrApology(response, key, ServeStatus::kTimeout);
+        return;
+      }
+    }
+  }
+  response->text = answer->text;
+  response->source = answer->source;
+  response->answered = answer->answered;
+  if (answer->degraded) {
+    response->status = ServeStatus::kDegraded;
+  } else if (!answer->answered && deadline != nullptr &&
+             deadline->Expired()) {
+    // Nothing produced and the budget is gone: the caller cannot tell
+    // "genuinely unanswerable" from "ran out of time", so report the
+    // honest one.
+    response->status = ServeStatus::kTimeout;
+    response->text = VoiceQueryEngine::TimedOutText();
+  }
+}
+
 ServeResponse EngineHost::HandleOverload(const std::string& request,
                                          ServeStatus fallback_status,
-                                         obs::Trace* trace) {
+                                         obs::Trace* trace,
+                                         std::optional<ExtractedQuery> extracted) {
   Stopwatch watch;
-  // relaxed: monotonic stats counter.
-  stats_.requests.fetch_add(1, std::memory_order_relaxed);
   ServeResponse response;
-  size_t classify_span = trace ? trace->BeginSpan("classify") : 0;
-  ClassifiedRequest classified = engine_->classifier().Classify(request);
-  if (trace) trace->EndSpan(classify_span);
-  response.type = classified.type;
-
-  switch (classified.type) {
-    case RequestType::kHelp:
-      response.text = engine_->HelpText();
-      break;
-    case RequestType::kRepeat:
-      response.text = VoiceQueryEngine::NothingToRepeatText();
-      break;
-    case RequestType::kOther:
-      response.text = VoiceQueryEngine::NotUnderstoodText();
-      break;
-    case RequestType::kSupportedQuery:
-    case RequestType::kUnsupportedQuery: {
-      // relaxed: monotonic stats counter.
-      stats_.queries.fetch_add(1, std::memory_order_relaxed);
-      VoiceQuery query = engine_->GroundQuery(classified);
-      std::string key = CanonicalQueryKey(fingerprint_, query);
-      ServeCachedOrApology(&response, key, fallback_status);
-      break;
-    }
+  std::optional<GroundedRequest> grounded =
+      ClassifyAndGround(request, std::move(extracted), trace, &response);
+  if (grounded.has_value()) {
+    ServeCachedOrApology(&response, grounded->key, fallback_status);
   }
   RecordOutcome(response);
   response.seconds = watch.ElapsedSeconds();

@@ -197,8 +197,13 @@ class EngineHost {
   /// each check it, an expired budget degrades the answer (stale cache
   /// serve, truncated anytime summary, store fallback) instead of blocking,
   /// and `ServeResponse::status` records the outcome.
+  /// `extracted` (optional) is this host's extractor's grounding of
+  /// `request`, as the router's winning walk produced it
+  /// (RoutingService::RouteDecision::query); given, classification reuses it
+  /// instead of walking the vocabulary again.
   ServeResponse Handle(const std::string& request, obs::Trace* trace = nullptr,
-                       const Deadline* deadline = nullptr);
+                       const Deadline* deadline = nullptr,
+                       std::optional<ExtractedQuery> extracted = std::nullopt);
 
   /// Overload path, used by the router when it refuses to run the full
   /// pipeline (admission shed, queue-expired deadline): classify + ground
@@ -206,9 +211,11 @@ class EngineHost {
   /// exists, even TTL-expired (marked stale, status kDegraded). With nothing
   /// cached, apologizes with `fallback_status` (kShed or kTimeout).
   /// Non-query requests (help etc.) get their canned texts as usual.
+  /// `extracted` as for Handle.
   ServeResponse HandleOverload(const std::string& request,
                                ServeStatus fallback_status,
-                               obs::Trace* trace = nullptr);
+                               obs::Trace* trace = nullptr,
+                               std::optional<ExtractedQuery> extracted = std::nullopt);
 
   /// Aggregated optimizer work counters (join/bound row visits, pruning
   /// decisions) over every on-demand solve this host ran. Batches run
@@ -267,6 +274,27 @@ class EngineHost {
     bool running GUARDED_BY(mutex) = false;
     std::vector<std::shared_ptr<PendingOnDemand>> waiting GUARDED_BY(mutex);
   };
+
+  /// A data-access request after the prologue: its grounded query and the
+  /// cache key it is served under.
+  struct GroundedRequest {
+    VoiceQuery query;
+    std::string key;
+  };
+
+  /// The prologue Handle and HandleOverload share: counts the request,
+  /// classifies it (from `extracted` when the router already walked it),
+  /// and sets `response`'s type. A help/repeat/other request gets its canned
+  /// text and nullopt; a data-access query is counted and grounded, and its
+  /// query and cache key come back.
+  std::optional<GroundedRequest> ClassifyAndGround(
+      const std::string& request, std::optional<ExtractedQuery> extracted,
+      obs::Trace* trace, ServeResponse* response);
+
+  /// Handle's full pipeline for a grounded query: deadline check, cache
+  /// lookup, coalescing, compute on a miss; fills `response`.
+  void ServeQuery(const GroundedRequest& grounded, obs::Trace* trace,
+                  const Deadline* deadline, ServeResponse* response);
 
   /// Computes the answer for a grounded query (store lookup, then on-demand
   /// summarization, then most-specific fallback). `trace` may be null; it

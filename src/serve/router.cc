@@ -316,10 +316,13 @@ void RoutingService::Drain() { pool_.Wait(); }
 
 RoutingService::RouteDecision RoutingService::RouteIn(
     const HostSet& hosts, const std::string& request) const {
+  // Tokenized once; each dataset walks the shared tokens with its own
+  // vocabulary (its longest matches segment the text its own way).
+  TokenizedText tokens(request);
   RouteDecision decision;
   for (size_t i = 0; i < hosts.slots.size(); ++i) {
     double score =
-        hosts.slots[i]->host->engine().extractor().Coverage(request).Score();
+        hosts.slots[i]->host->engine().extractor().Coverage(tokens).Score();
     // Strictly greater keeps ties on the first-registered dataset, so
     // routing is deterministic under any registration order.
     if (score > decision.score) {
@@ -329,7 +332,10 @@ RoutingService::RouteDecision RoutingService::RouteIn(
   }
   if (decision.score <= options_.min_route_score) {
     decision.host_index = -1;
+    return decision;
   }
+  decision.query = hosts.slots[static_cast<size_t>(decision.host_index)]
+                       ->host->engine().extractor().Extract(tokens);
   return decision;
 }
 
@@ -438,13 +444,16 @@ RoutedResponse RoutingService::Process(const std::string& request,
       // This dataset is saturated: cheap overload turnaround (classify +
       // cached/stale lookup, never a solve).
       out.response = slot.host->HandleOverload(request, ServeStatus::kShed,
-                                               trace.get());
+                                               trace.get(),
+                                               std::move(decision.query));
     } else if (deadline != nullptr && deadline->Expired()) {
       // Budget died during routing: same cheap path, flagged timeout.
       out.response = slot.host->HandleOverload(request, ServeStatus::kTimeout,
-                                               trace.get());
+                                               trace.get(),
+                                               std::move(decision.query));
     } else {
-      out.response = slot.host->Handle(request, trace.get(), deadline);
+      out.response = slot.host->Handle(request, trace.get(), deadline,
+                                       std::move(decision.query));
     }
     out.dataset = slot.host->name();
     out.routed = true;

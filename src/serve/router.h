@@ -3,7 +3,11 @@
 // Each request is scored against every registered dataset's NLU vocabulary
 // (QueryExtractor::Coverage) and dispatched to the best-covered host, so the
 // caller never names a dataset: "cancelled flights in February" finds the
-// flights engine, "visual impairment in Manhattan" the ACS one. All hosts
+// flights engine, "visual impairment in Manhattan" the ACS one. The request
+// is tokenized once (TokenizedText); each dataset's coverage walk runs over
+// those shared tokens and allocates nothing, the winner's vocabulary then
+// extracts the query once more from them, and that extraction travels with
+// the request to the host, whose classify and ground reuse it. All hosts
 // share one worker pool, one sharded answer cache (host fingerprints keep
 // keys disjoint) and one in-flight coalescer.
 //
@@ -180,6 +184,10 @@ class RoutingService {
   struct RouteDecision {
     int host_index = -1;  ///< -1: no dataset covers the request
     double score = 0.0;
+    /// The winning dataset's extraction of the request (empty when
+    /// unrouted); Process hands it to the host so classify and ground take
+    /// no walk of their own.
+    ExtractedQuery query;
   };
   RouteDecision Route(const std::string& request) const;
 

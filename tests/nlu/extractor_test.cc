@@ -77,6 +77,57 @@ TEST_F(ExtractorTest, SynonymRegistrationValidates) {
   EXPECT_FALSE(extractor_->AddValueSynonym("x", "season", "Monsoon").ok());
 }
 
+TEST_F(ExtractorTest, ConflictingSynonymIsRejectedAndKeepsTheFirstBinding) {
+  // "wintertime" -> Winter, then -> Summer: the second must not report
+  // success while the first binding silently stays.
+  ASSERT_TRUE(extractor_->AddValueSynonym("wintertime", "season", "Winter").ok());
+  Status conflict = extractor_->AddValueSynonym("Wintertime", "season", "Summer");
+  EXPECT_EQ(conflict.code(), StatusCode::kAlreadyExists) << conflict.ToString();
+  // A dictionary value cannot be re-bound as a target, nor a target
+  // synonym as a value.
+  EXPECT_EQ(extractor_->AddTargetSynonym("winter", "delay").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(extractor_->AddValueSynonym("how  late", "region", "North").code(),
+            StatusCode::kAlreadyExists);
+  // Identical re-registrations stay OK, spelled differently or not.
+  EXPECT_TRUE(extractor_->AddValueSynonym("WINTER_TIME", "season", "Winter").ok());
+  EXPECT_TRUE(extractor_->AddValueSynonym("winter time", "season", "Winter").ok());
+  EXPECT_TRUE(extractor_->AddValueSynonym("wintertime", "season", "Winter").ok());
+  EXPECT_TRUE(extractor_->AddTargetSynonym("Delays!", "delay").ok());
+  EXPECT_TRUE(extractor_->AddValueSynonym("winter", "season", "Winter").ok());
+
+  ExtractedQuery q = extractor_->Extract("delays in wintertime");
+  ASSERT_EQ(q.predicates.size(), 1u);
+  EXPECT_EQ(table_.dict(static_cast<size_t>(q.predicates[0].dim))
+                .Lookup(q.predicates[0].value),
+            "Winter");
+}
+
+TEST(ExtractorVocabularyTest, DictionaryValuesCollidingAcrossDimensionsStayFirstWins) {
+  Table table("collide");
+  table.AddDimColumn("origin");
+  table.AddDimColumn("destination");
+  table.AddTargetColumn("delay");
+  ASSERT_TRUE(table.AppendRow({"North", "North"}, {1.0}).ok());
+  ASSERT_TRUE(table.AppendRow({"South", "North"}, {2.0}).ok());
+  QueryExtractor extractor(&table);
+  ExtractedQuery q = extractor.Extract("delay north south");
+  ASSERT_EQ(q.predicates.size(), 1u);
+  EXPECT_EQ(q.predicates[0].dim, table.DimIndex("origin"));
+  // "south" also maps to origin, the first mention of origin wins.
+  EXPECT_EQ(table.dict(0).Lookup(q.predicates[0].value), "North");
+}
+
+TEST(TokenizedTextTest, NormalizesIntoOneSpaceSeparatedBuffer) {
+  TokenizedText tokens("  Delays,\tin  ((Staten)) ?? Island!\n  C++ 18-29 ");
+  ASSERT_EQ(tokens.size(), 6u);
+  EXPECT_EQ(tokens.Span(0, 6), "delays in staten island c++ 18-29");
+  EXPECT_EQ(tokens.Span(2, 4), "staten island");
+  EXPECT_EQ(tokens.Span(5, 6), "18-29");
+  EXPECT_EQ(TokenizedText("").size(), 0u);
+  EXPECT_EQ(TokenizedText(" ?? \t !! ").size(), 0u);
+}
+
 TEST_F(ExtractorTest, PredicatesComeOutNormalized) {
   ExtractedQuery q = extractor_->Extract("delays Winter North");
   ASSERT_EQ(q.predicates.size(), 2u);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "serve/registry.h"
+#include "testing/utterances.h"
 
 namespace vq {
 namespace serve {
@@ -257,6 +258,55 @@ TEST(RoutingBatchTest, ConcurrentDistinctMissesAreBatchedAndCorrect) {
   EXPECT_LE(stats.on_demand_passes, requests.size());
   EXPECT_GE(stats.on_demand_passes, 1u);
   EXPECT_GE(stats.max_batch, 1u);
+}
+
+TEST(RoutingSharedVocabularyTest, FourThreadSubmitMatchesInlineAnswers) {
+  // The benchmark fleet's configured queries plus seeded mutants, answered
+  // inline on one router and through 4 pool workers on another: every
+  // worker walks the same read-only vocabularies, concurrently (the
+  // serve-tsan preset runs this), and must reach the same answers.
+  DatasetRegistry registry;
+  ASSERT_TRUE(testing::AddLookupHotFleet(&registry).ok());
+  std::vector<testing::Utterance> requests = testing::ConfiguredUtterances(registry);
+  ASSERT_EQ(requests.size(), 210u);
+  std::vector<testing::Utterance> mutants =
+      testing::MutatedUtterances(requests, 600, /*seed=*/16);
+  requests.insert(requests.end(), mutants.begin(), mutants.end());
+
+  RouterOptions one_thread;
+  one_thread.num_threads = 1;
+  RoutingService inline_router(&registry, one_thread);
+  std::vector<RoutedResponse> expected;
+  for (const testing::Utterance& u : requests) {
+    expected.push_back(inline_router.AnswerNow(u.text));
+  }
+
+  RouterOptions four_threads;
+  four_threads.num_threads = 4;
+  RoutingService router(&registry, four_threads);
+  std::vector<std::future<RoutedResponse>> futures;
+  for (int round = 0; round < 2; ++round) {
+    for (const testing::Utterance& u : requests) futures.push_back(router.Submit(u.text));
+  }
+  size_t routed_home = 0;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    RoutedResponse got = futures[i].get();
+    const RoutedResponse& want = expected[i % requests.size()];
+    const std::string& text = requests[i % requests.size()].text;
+    EXPECT_EQ(got.routed, want.routed) << text;
+    EXPECT_EQ(got.dataset, want.dataset) << text;
+    EXPECT_EQ(got.route_score, want.route_score) << text;
+    EXPECT_EQ(got.response.type, want.response.type) << text;
+    EXPECT_EQ(got.response.status, want.response.status) << text;
+    EXPECT_EQ(got.response.answered, want.response.answered) << text;
+    EXPECT_EQ(got.response.text, want.response.text) << text;
+    if (i < 210) {
+      EXPECT_EQ(got.dataset, requests[i].dataset) << text;
+      EXPECT_TRUE(got.response.answered) << text;
+      ++routed_home;
+    }
+  }
+  EXPECT_EQ(routed_home, 210u);
 }
 
 }  // namespace

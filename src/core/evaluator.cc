@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "util/simd.h"
 #include "util/small_vector.h"
@@ -57,6 +58,7 @@ Evaluator::Evaluator(const SummaryInstance* instance, const FactCatalog* catalog
   prior_block_weighted_.assign(words, 0.0);
   for (size_t r = 0; r < inst.num_rows; ++r) {
     prior_dev_[r] = std::fabs(inst.prior - inst.target[r]);
+    max_prior_dev_ = std::max(max_prior_dev_, prior_dev_[r]);
     prior_dev_weighted_[r] = prior_dev_[r] * inst.weight[r];
     target_padded_[r] = inst.target[r];
     weight_padded_[r] = inst.weight[r];
@@ -260,6 +262,48 @@ std::vector<double> Evaluator::SingleFactUtilities(PerfCounters* counters) const
   return utilities;
 }
 
+double Evaluator::SingleFactUtilityBound(FactId id) const {
+  // Each term of the gain is max(0, |p - t| - |v - t|) * w <= |p - v| * w
+  // (triangle inequality), so in exact arithmetic the gain is at most
+  // W * |p - v| with W the scope weight. The kernels round, though, and the
+  // bound must hold for the COMPUTED gain of every table. With u = 2^-53,
+  // a = fl(|p - t|) (the prior deviation, a <= M := max_prior_dev_) and
+  // b = fl(|v - t|):
+  //   a - b <= |p - t|(1 + u) - |v - t|(1 - u)
+  //         <= |p - v| + u(|p - t| + |v - t|)
+  //         <= |p - v|(1 + u) + 2u|p - t|          (|v - t| <= |v - p| + |p - t|)
+  //         <= (D(1 + u) + 2uM) / (1 - u)          (D = fl(|p - v|) >= |p - v|(1 - u),
+  //                                                  |p - t| <= a / (1 - u))
+  // so the rounded term fl(a - b) <= (D + 2uM)(1 + u)^2 / (1 - u). The
+  // absolute part 2uM is essential: when v ~ p and |t| >> |p|, a and b
+  // round to different neighbours and fl(a - b) is an ulp of t, far above
+  // |p - v| (tests/core/greedy_test.cc builds exactly that case).
+  // Summation: all terms are >= 0 and every kernel rounds each term at most
+  // n + 4 times on its way into the result (its product or FMA, then the
+  // additions on its path: scalar <= n sequential adds, avx2 <= n/4 lane
+  // FMAs + a horizontal sum + a 3-term tail, avx512 <= n/8 + 1 lane FMAs + a
+  // 3-level reduction), so the computed sum is <= (1 + u)^(n + 4) times the
+  // exact one. The catalog's W sums the same n weights sequentially, so the
+  // true weight total is <= W / (1 - u)^n. Altogether the computed gain is
+  //   <= W (D + 2uM) (1 + u)^(n + 6) / (1 - u)^(n + 1)
+  //   <= W (D + 2uM) (1 + 1.02 (2n + 7) u)        (n u < 1e-3),
+  // and the factor 1 + 4(n + 8)u below also absorbs the four roundings of
+  // evaluating the bound itself. Underflow (subnormal slack) only affects
+  // gains far below greedy's 1e-12 stopping threshold.
+  //
+  // Targets read from a CSV may be "nan" or "inf", which can make the
+  // formula NaN. The kernels never return a NaN gain (a NaN term is
+  // dropped), so +inf is then a valid bound -- and it keeps the lazy
+  // queue's ordering strict.
+  constexpr double kUnitRoundoff = 0x1p-53;
+  const Fact& fact = catalog_->fact(id);
+  double n = static_cast<double>(catalog_->ScopeRows(id).size());
+  double deviation = std::fabs(instance_->prior - fact.value);
+  double bound = fact.scope_weight * (deviation + 2.0 * kUnitRoundoff * max_prior_dev_) *
+                 (1.0 + 4.0 * (n + 8.0) * kUnitRoundoff);
+  return std::isnan(bound) ? std::numeric_limits<double>::infinity() : bound;
+}
+
 std::vector<double> Evaluator::SingleFactUtilitiesReference(
     PerfCounters* counters) const {
   const SummaryInstance& inst = *instance_;
@@ -301,10 +345,7 @@ std::pair<double, FactId> GreedyState::AccumulateGroupGains(
   // charge) is one pass over the instance block, like the seed join.
   for (uint32_t i = 0; i < group.num_facts; ++i) {
     FactId id = group.first_fact + i;
-    std::span<const uint32_t> scope = catalog.ScopeRows(id);
-    (*gains)[id] += kernels.gather_positive_gain(
-        row_deviation_.data(), scope.data(), catalog.ScopeDevs(id).data(),
-        catalog.ScopeWeights(id).data(), scope.size());
+    (*gains)[id] += FactGain(id);
   }
   if (counters != nullptr) {
     counters->join_rows += inst.num_rows;
@@ -317,6 +358,14 @@ std::pair<double, FactId> GreedyState::AccumulateGroupGains(
       kernels.argmax(gains->data() + group.first_fact, group.num_facts);
   FactId best_fact = group.first_fact + static_cast<FactId>(best);
   return {(*gains)[best_fact], best_fact};
+}
+
+double GreedyState::FactGain(FactId id) const {
+  const FactCatalog& catalog = evaluator_->catalog();
+  std::span<const uint32_t> scope = catalog.ScopeRows(id);
+  return simd::Active().gather_positive_gain(
+      row_deviation_.data(), scope.data(), catalog.ScopeDevs(id).data(),
+      catalog.ScopeWeights(id).data(), scope.size());
 }
 
 double GreedyState::GroupUtilityBound(uint32_t group_index,

@@ -107,6 +107,14 @@ class Evaluator {
   /// Algorithm 1, Line 6). Counters are charged to `counters` if non-null.
   std::vector<double> SingleFactUtilities(PerfCounters* counters = nullptr) const;
 
+  /// An O(1) upper bound on SingleFactUtilities()[id] as computed by EVERY
+  /// kernel table: scope_weight * (|prior - value| + 2u * max prior
+  /// deviation), widened by the rounding slack derived in evaluator.cc;
+  /// +inf when non-finite data make that NaN. Never NaN or -0.0. Greedy
+  /// gains only fall as facts are added, so it also bounds the fact's gain
+  /// in every later iteration (lazy G-O seeds its queue with it).
+  double SingleFactUtilityBound(FactId id) const;
+
   /// Row-at-a-time reference implementations (the seed code paths), kept so
   /// the golden equivalence tests and bench/scan_throughput.cpp can compare
   /// the vectorized paths against them -- and used as the execution path
@@ -134,6 +142,9 @@ class Evaluator {
   /// cover masks never select them).
   std::vector<double> prior_dev_;
   std::vector<double> prior_dev_weighted_;
+  /// max over rows of prior_dev_: the absolute rounding slack of
+  /// SingleFactUtilityBound.
+  double max_prior_dev_ = 0.0;
   /// Block-padded copies of the instance's target and weight columns (same
   /// padding contract), the inputs of the masked single-fact kernel: under
   /// kClosest, rows covered by exactly ONE speech fact resolve branchlessly
@@ -161,6 +172,11 @@ class GreedyState {
   std::pair<double, FactId> AccumulateGroupGains(uint32_t group_index,
                                                  std::vector<double>* gains,
                                                  PerfCounters* counters) const;
+
+  /// Utility gain of one fact given the current state: the same kernel call
+  /// AccumulateGroupGains makes per fact, so the value has the same bits.
+  /// Visits ScopeRows(id).size() rows; charges no counter.
+  double FactGain(FactId id) const;
 
   /// Upper bound on the utility gain of any fact in `group_index`: the
   /// maximum, over the group's facts, of the summed current deviation within

@@ -1,7 +1,10 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "util/stopwatch.h"
 
@@ -99,6 +102,105 @@ std::pair<double, FactId> SelectBestFact(const Evaluator& evaluator,
   return {best_gain, best_fact};
 }
 
+/// G-O's lazy (CELF) argmax: a max-heap with one entry per fact not yet
+/// chosen, keyed on an upper bound of the fact's current gain. Seeded with
+/// the free Evaluator::SingleFactUtilityBound; afterwards a fact's bound is
+/// the exact gain of the last iteration that evaluated it. Gains never rise
+/// (ApplyFact only lowers row deviations, and each kernel sums in a fixed
+/// association tree whose terms and additions are monotone in floating point
+/// too), so a cached gain stays a valid bound for every later iteration.
+class LazyFactQueue {
+ public:
+  explicit LazyFactQueue(const Evaluator& evaluator)
+      : catalog_(&evaluator.catalog()),
+        group_iteration_(evaluator.catalog().NumGroups(), kNoIteration) {
+    entries_.reserve(catalog_->NumFacts());
+    for (FactId id = 0; id < catalog_->NumFacts(); ++id) {
+      entries_.push_back(MakeEntry(evaluator.SingleFactUtilityBound(id), id, kNoIteration));
+    }
+    std::make_heap(entries_.begin(), entries_.end());
+  }
+
+  /// The greedy choice of `iteration`, removed from the queue: the highest
+  /// current gain among the facts not chosen yet, ties to the lowest FactId.
+  /// Chosen facts have gain 0, so whenever that gain passes greedy's 1e-12
+  /// threshold it is SelectBestFact's choice, bit for bit. Evaluates the top
+  /// fact until the top holds a gain computed in this iteration: every
+  /// other entry's bound then ranks below an exact gain. Returns kNoFact
+  /// once every fact was chosen. Polls `deadline` every 16 evaluations, like
+  /// SelectBestFact; on expiry sets `*timed_out` and returns no choice.
+  std::pair<double, FactId> PopBest(uint32_t iteration, const GreedyState& state,
+                                    PerfCounters* counters, const Deadline* deadline,
+                                    bool* timed_out) {
+    // Per iteration, a group counts as joined when any of its facts was
+    // evaluated and as pruned otherwise (an iteration cut short by the
+    // deadline charges no pruned groups).
+    uint64_t groups_joined = 0;
+    auto charge_groups = [&](bool completed) {
+      if (counters == nullptr) return;
+      counters->groups_joined += groups_joined;
+      if (completed) counters->groups_pruned += catalog_->NumGroups() - groups_joined;
+    };
+    for (size_t evaluations = 0; !entries_.empty(); ++evaluations) {
+      Entry& top = entries_.front();
+      FactId id = IdOf(top);
+      if (IterationOf(top) == iteration) {
+        std::pair<double, FactId> best{BoundOf(top), id};
+        std::pop_heap(entries_.begin(), entries_.end());
+        entries_.pop_back();
+        charge_groups(true);
+        return best;
+      }
+      if (deadline != nullptr && (evaluations & 15) == 0 && deadline->Expired()) {
+        *timed_out = true;
+        charge_groups(false);
+        return {-1.0, kNoFact};
+      }
+      top = MakeEntry(state.FactGain(id), id, iteration);
+      if (counters != nullptr) counters->join_rows += catalog_->ScopeRows(id).size();
+      uint32_t& joined_in = group_iteration_[catalog_->fact(id).group];
+      if (joined_in != iteration) {
+        joined_in = iteration;
+        ++groups_joined;
+      }
+      // Sift the re-keyed top back into place.
+      std::pop_heap(entries_.begin(), entries_.end());
+      std::push_heap(entries_.begin(), entries_.end());
+    }
+    charge_groups(true);
+    return {-1.0, kNoFact};
+  }
+
+ private:
+  /// One heap entry, packed so that the heap order is a single (branch-free)
+  /// unsigned 128-bit comparison -- the heap operations are most of the lazy
+  /// selection's own cost. Bits 127..64 hold the bound's bit pattern: bounds
+  /// and gains are +0.0, positive or +inf, never NaN or -0.0, so their bit
+  /// patterns order like their values. Bits 63..32 hold the complement of
+  /// the FactId, so at equal bounds the LOWER id ranks higher: a stale entry
+  /// whose bound equals an exact gain surfaces (and is re-evaluated) before
+  /// a higher-id fresh one, and ties go to the lowest id as in
+  /// SelectBestFact. Bits 31..0 hold the iteration whose exact gain the
+  /// bound is (kNoIteration: the free bound); ids are unique, so it never
+  /// decides the order.
+  using Entry = unsigned __int128;
+  static constexpr uint32_t kNoIteration = UINT32_MAX;
+
+  static Entry MakeEntry(double bound, FactId id, uint32_t iteration) {
+    return Entry{std::bit_cast<uint64_t>(bound)} << 64 | Entry{~id} << 32 | iteration;
+  }
+  static double BoundOf(Entry entry) {
+    return std::bit_cast<double>(static_cast<uint64_t>(entry >> 64));
+  }
+  static FactId IdOf(Entry entry) { return ~static_cast<FactId>(entry >> 32); }
+  static uint32_t IterationOf(Entry entry) { return static_cast<uint32_t>(entry); }
+
+  const FactCatalog* catalog_;
+  std::vector<Entry> entries_;
+  /// Per group: the last iteration a fact of it was evaluated in.
+  std::vector<uint32_t> group_iteration_;
+};
+
 }  // namespace
 
 SummaryResult GreedySummary(const Evaluator& evaluator, const GreedyOptions& options) {
@@ -113,9 +215,15 @@ SummaryResult GreedySummary(const Evaluator& evaluator, const GreedyOptions& opt
     return result;
   }
 
-  std::optional<PruningPlan> plan =
-      SelectPruningPlan(catalog, evaluator.instance().num_rows, options.pruning,
-                        options.cost_model);
+  // G-O selects lazily over per-fact bounds; G-P applies a static group
+  // plan; G-B joins every group.
+  std::optional<LazyFactQueue> lazy;
+  std::optional<PruningPlan> plan;
+  if (options.pruning == FactPruning::kOptimized) {
+    lazy.emplace(evaluator);
+  } else {
+    plan = SelectPruningPlan(catalog, evaluator.instance().num_rows, options.pruning);
+  }
 
   GreedyState state(evaluator);
   SelectScratch scratch;
@@ -126,8 +234,10 @@ SummaryResult GreedySummary(const Evaluator& evaluator, const GreedyOptions& opt
     }
     bool scan_timed_out = false;
     auto [gain, fact] =
-        SelectBestFact(evaluator, state, plan ? &*plan : nullptr, &scratch,
-                       &result.counters, options.deadline, &scan_timed_out);
+        lazy ? lazy->PopBest(static_cast<uint32_t>(i), state, &result.counters,
+                             options.deadline, &scan_timed_out)
+             : SelectBestFact(evaluator, state, plan ? &*plan : nullptr, &scratch,
+                              &result.counters, options.deadline, &scan_timed_out);
     if (scan_timed_out) {
       // A partial scan's argmax is not the greedy choice; keep the
       // checkpointed facts from completed iterations (anytime property)

@@ -198,17 +198,15 @@ PruningPlan PruningPlanner::NaivePlan() const {
 }
 
 std::optional<PruningPlan> SelectPruningPlan(const FactCatalog& catalog, size_t num_rows,
-                                             FactPruning pruning,
-                                             const CostModelParams& params) {
-  if (pruning == FactPruning::kNone || catalog.NumGroups() <= 1) return std::nullopt;
+                                             FactPruning pruning) {
+  if (pruning != FactPruning::kNaive || catalog.NumGroups() <= 1) return std::nullopt;
   std::vector<uint32_t> masks;
   std::vector<size_t> counts;
   for (const auto& group : catalog.groups()) {
     masks.push_back(group.mask);
     counts.push_back(group.num_facts);
   }
-  PruningPlanner planner(std::move(masks), std::move(counts), num_rows, params);
-  return pruning == FactPruning::kNaive ? planner.NaivePlan() : planner.ChoosePlan();
+  return PruningPlanner(std::move(masks), std::move(counts), num_rows).NaivePlan();
 }
 
 }  // namespace vq

@@ -16,7 +16,7 @@ namespace vq {
 enum class FactPruning {
   kNone,       ///< G-B: compute utility for every fact group
   kNaive,      ///< G-P: fixed plan -- smallest group as source, rest targets
-  kOptimized,  ///< G-O: cost-based plan selection over Algorithm 4 candidates
+  kOptimized,  ///< G-O: lazy fact selection over cached per-fact gain bounds
 };
 
 const char* FactPruningName(FactPruning pruning);
@@ -108,12 +108,12 @@ class PruningPlanner {
 };
 
 /// The plan the greedy algorithm applies for `pruning` over `catalog`'s
-/// groups: none for G-B or fewer than two groups, else the planner's
-/// NaivePlan (G-P) or ChoosePlan (G-O). Plans depend only on static group
+/// groups: the planner's NaivePlan for G-P with at least two groups, else
+/// none -- G-B joins every group, and G-O bounds single facts lazily instead
+/// of planning (see core/greedy.h). Plans depend only on static group
 /// statistics, so one plan serves every greedy iteration.
 std::optional<PruningPlan> SelectPruningPlan(const FactCatalog& catalog, size_t num_rows,
-                                             FactPruning pruning,
-                                             const CostModelParams& params);
+                                             FactPruning pruning);
 
 }  // namespace vq
 

@@ -54,7 +54,6 @@ SummaryResult PreparedProblem::Run(const SummarizerOptions& options) const {
     case Algorithm::kGreedyOptimized: {
       GreedyOptions greedy;
       greedy.max_facts = options.max_facts;
-      greedy.cost_model = options.cost_model;
       greedy.deadline = options.deadline;
       greedy.pruning = options.algorithm == Algorithm::kGreedy ? FactPruning::kNone
                        : options.algorithm == Algorithm::kGreedyNaive

@@ -30,7 +30,6 @@ struct SummarizerOptions {
   Algorithm algorithm = Algorithm::kGreedyOptimized;
   InstanceOptions instance;
   double exact_timeout_seconds = 0.0;
-  CostModelParams cost_model;
   /// Optional per-request serving deadline (not owned; may be null). Greedy
   /// variants checkpoint their best-so-far facts and return `timed_out`;
   /// the exact solver clamps its own timeout to the remaining budget.

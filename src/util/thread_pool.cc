@@ -150,17 +150,31 @@ void ParallelFor(ThreadPool* pool, size_t count,
   size_t num_chunks = std::min(count, num_threads * 4);
   size_t chunk = (count + num_chunks - 1) / num_chunks;
   std::atomic<size_t> next{0};
+  // Waits for this call's own chunks only: pool->Wait() would also block on
+  // unrelated tasks (an index build on ScanPool() behind serving scans, which
+  // under sustained traffic may never drain). The last chunk notifies while
+  // holding the mutex, so the waiter cannot destroy it before that chunk
+  // lets go.
+  struct Completion {
+    explicit Completion(size_t chunks) : remaining(chunks) {}
+    Mutex mutex;
+    CondVar done;
+    size_t remaining GUARDED_BY(mutex);
+  } completion(num_chunks);
   for (size_t c = 0; c < num_chunks; ++c) {
-    pool->Submit([&next, count, chunk, &body] {
+    pool->Submit([&next, count, chunk, &body, &completion] {
       while (true) {
         size_t begin = next.fetch_add(chunk);
-        if (begin >= count) return;
+        if (begin >= count) break;
         size_t end = std::min(begin + chunk, count);
         for (size_t i = begin; i < end; ++i) body(i);
       }
+      MutexLock lock(completion.mutex);
+      if (--completion.remaining == 0) completion.done.NotifyAll();
     });
   }
-  pool->Wait();
+  MutexLock lock(completion.mutex);
+  while (completion.remaining != 0) completion.done.Wait(completion.mutex);
 }
 
 }  // namespace vq

@@ -112,8 +112,9 @@ class ThreadPool {
   bool shutting_down_ GUARDED_BY(mutex_) = false;
 };
 
-/// Runs `body(i)` for i in [0, count) across the pool, blocking until done.
-/// Iteration order across threads is unspecified; bodies must be independent.
+/// Runs `body(i)` for i in [0, count) across the pool, blocking until every
+/// index is done -- but not on other tasks the pool is running. Iteration
+/// order across threads is unspecified; bodies must be independent.
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& body);
 

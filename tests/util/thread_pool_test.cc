@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -56,6 +58,30 @@ TEST(ThreadPoolTest, ParallelForSmallerThanThreads) {
   std::atomic<int> counter{0};
   ParallelFor(&pool, 3, [&counter](size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
+  // A long task already running on the pool (a serving scan on ScanPool(),
+  // say) must not hold up a ParallelFor that only needs the other worker.
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> blocker_started;
+  pool.Submit([released, &blocker_started] {
+    blocker_started.set_value();
+    released.wait();
+  });
+  blocker_started.get_future().wait();
+
+  std::atomic<int> counter{0};
+  std::future<void> parallel = std::async(std::launch::async, [&pool, &counter] {
+    ParallelFor(&pool, 100, [&counter](size_t) { counter.fetch_add(1); });
+  });
+  bool returned = parallel.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();  // unblock the pool either way, so teardown cannot hang
+  parallel.wait();
+  EXPECT_TRUE(returned) << "ParallelFor waited for an unrelated task";
+  EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, SubmitTaskReturnsResultThroughFuture) {

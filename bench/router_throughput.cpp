@@ -2,11 +2,9 @@
 // RoutingService at 1/4/16 worker threads over THREE registered datasets
 // (flights, ACS, primaries), with per-request routing decided purely from
 // NLU vocabulary coverage -- no request names its dataset. Also measures the
-// batched on-demand path: concurrent cache misses sharing a target column
-// must be solved in fewer shared table passes than the one-pass-per-query
-// unbatched baseline (counter-verified), and the single-dataset wrapper
-// (SummaryService) is re-measured on the BENCH_serve workload shape so the
-// refactor can be compared against BENCH_serve.json for regressions.
+// batched on-demand path: concurrent distinct cache misses sharing a target
+// column must be solved in fewer shared table passes than there are misses
+// (counter-verified), each miss still summarized exactly once.
 //
 // Since the dynamic-registry work, the bench also measures add/remove under
 // load: a fourth dataset is registered and retired in a loop while steady
@@ -49,7 +47,6 @@
 #include "storage/datasets.h"
 #include "serve/registry.h"
 #include "serve/router.h"
-#include "serve/service.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
@@ -177,10 +174,9 @@ RunResult TimedRun(const vq::serve::DatasetRegistry& registry, size_t threads,
 /// fresh RoutingService and reports the host's shared-pass counters.
 vq::serve::HostStats ColdOnDemandRun(const vq::serve::DatasetRegistry& registry,
                                      const std::vector<std::string>& requests,
-                                     bool batch_on_demand, size_t threads) {
+                                     size_t threads) {
   vq::serve::RouterOptions options;
   options.num_threads = threads;
-  options.host.batch_on_demand = batch_on_demand;
   vq::serve::RoutingService router(&registry, options);
   std::vector<std::future<vq::serve::RoutedResponse>> futures;
   futures.reserve(requests.size());
@@ -668,10 +664,10 @@ int main() {
               "misrouted: %zu\n",
               speedup_4v1, speedup_16v1, total_misrouted);
 
-  // ---- Batched vs unbatched on-demand: 16 distinct month/time-of-day
-  // queries are outside the flights configuration, so each needs the
-  // optimizer. Unbatched, that is one table pass per query; batched,
-  // concurrent misses sharing the "cancelled" target group into shared
+  // ---- Batched on-demand: 16 distinct month/time-of-day queries are
+  // outside the flights configuration, so each needs the optimizer.
+  // Answered one at a time, that is one table pass per query; submitted
+  // concurrently, misses sharing the "cancelled" target group into shared
   // passes.
   const vq::Table* flights = registry.table("flights");
   std::vector<std::string> cold_requests;
@@ -688,20 +684,14 @@ int main() {
                             times.Lookup(static_cast<vq::ValueId>(v)));
   }
   const size_t kBatchThreads = 8;
-  vq::serve::HostStats unbatched =
-      ColdOnDemandRun(registry, cold_requests, /*batch_on_demand=*/false,
-                      kBatchThreads);
   vq::serve::HostStats batched =
-      ColdOnDemandRun(registry, cold_requests, /*batch_on_demand=*/true,
-                      kBatchThreads);
-  bool batching_ok = batched.on_demand_passes < unbatched.on_demand_passes &&
-                     batched.on_demand_summaries == cold_requests.size() &&
-                     unbatched.on_demand_summaries == cold_requests.size();
+      ColdOnDemandRun(registry, cold_requests, kBatchThreads);
+  bool batching_ok = batched.on_demand_passes < cold_requests.size() &&
+                     batched.on_demand_summaries == cold_requests.size();
   std::printf(
-      "On-demand passes for %zu distinct misses at %zu threads: unbatched %llu, "
+      "On-demand passes for %zu distinct misses at %zu threads: "
       "batched %llu (largest batch %llu) [%s]\n",
       cold_requests.size(), kBatchThreads,
-      static_cast<unsigned long long>(unbatched.on_demand_passes),
       static_cast<unsigned long long>(batched.on_demand_passes),
       static_cast<unsigned long long>(batched.max_batch),
       batching_ok ? "OK" : "FAIL");
@@ -761,36 +751,6 @@ int main() {
       snap.probes, snap.answers_identical ? "yes" : "NO", snap.steady_qps,
       snap_ok ? "OK" : "FAIL");
 
-  // ---- Single-dataset path: the BENCH_serve workload shape through the
-  // (post-refactor) SummaryService wrapper, for regression comparison
-  // against BENCH_serve.json.
-  auto generator =
-      vq::ProblemGenerator::Create(flights, specs[0].config).value();
-  auto single_queries = vq::bench::StratifiedSampleQueries(generator, 64, kSeed);
-  std::vector<std::string> single_requests;
-  for (const auto& query : single_queries) {
-    single_requests.push_back(RequestText(*flights, query));
-  }
-  vq::serve::ServiceOptions service_options;
-  service_options.num_threads = 4;
-  service_options.cache_capacity = 1 << 14;
-  service_options.host.simulated_vocalize_seconds = kVocalizeSeconds;
-  vq::serve::SummaryService service(registry.engine("flights"), service_options);
-  for (const auto& request : single_requests) (void)service.AnswerNow(request);
-  std::vector<std::future<vq::serve::ServeResponse>> single_futures;
-  single_futures.reserve(kTotalRequests);
-  vq::Stopwatch single_watch;
-  for (size_t i = 0; i < kTotalRequests; ++i) {
-    single_futures.push_back(
-        service.Submit(single_requests[i % single_requests.size()]));
-  }
-  for (auto& future : single_futures) (void)future.get();
-  double single_wall = single_watch.ElapsedSeconds();
-  double single_qps = static_cast<double>(kTotalRequests) / single_wall;
-  std::printf("Single-dataset wrapper: %.0f qps at 4 threads "
-              "(compare cache_warm[threads=4].qps in BENCH_serve.json)\n",
-              single_qps);
-
   // ---- Machine-readable report.
   vq::Json report = vq::Json::Object();
   report.Set("bench", vq::Json::Str("router_throughput"));
@@ -829,8 +789,6 @@ int main() {
   batch.Set("distinct_queries",
             vq::Json::Int(static_cast<int64_t>(cold_requests.size())));
   batch.Set("threads", vq::Json::Int(static_cast<int64_t>(kBatchThreads)));
-  batch.Set("unbatched_passes",
-            vq::Json::Int(static_cast<int64_t>(unbatched.on_demand_passes)));
   batch.Set("batched_passes",
             vq::Json::Int(static_cast<int64_t>(batched.on_demand_passes)));
   batch.Set("max_batch", vq::Json::Int(static_cast<int64_t>(batched.max_batch)));
@@ -892,12 +850,6 @@ int main() {
                  vq::Json::Int(static_cast<int64_t>(snap.steady_requests)));
   cold_start.Set("steady_qps", vq::Json::Number(snap.steady_qps));
   report.Set("snapshot_cold_start", std::move(cold_start));
-  vq::Json single = vq::Json::Object();
-  single.Set("threads", vq::Json::Int(4));
-  single.Set("requests", vq::Json::Int(static_cast<int64_t>(kTotalRequests)));
-  single.Set("wall_seconds", vq::Json::Number(single_wall));
-  single.Set("qps", vq::Json::Number(single_qps));
-  report.Set("single_dataset", std::move(single));
 
   const char* out_env = std::getenv("VQ_BENCH_OUT");
   std::string out_path = out_env != nullptr ? out_env : "BENCH_router.json";

@@ -37,9 +37,6 @@ void BumpMax(std::atomic<uint64_t>* slot, uint64_t value) {
 }  // namespace
 
 HostOptions HostOverrides::ApplyTo(HostOptions base) const {
-  if (on_demand_summaries) base.on_demand_summaries = *on_demand_summaries;
-  if (batch_on_demand) base.batch_on_demand = *batch_on_demand;
-  if (cache_unanswerable) base.cache_unanswerable = *cache_unanswerable;
   if (unanswerable_ttl_seconds) {
     base.unanswerable_ttl_seconds = *unanswerable_ttl_seconds;
   }
@@ -135,18 +132,25 @@ std::optional<EngineHost::GroundedRequest> EngineHost::ClassifyAndGround(
 
 ServeResponse EngineHost::Handle(const std::string& request, obs::Trace* trace,
                                  const Deadline* deadline,
-                                 std::optional<ExtractedQuery> extracted) {
+                                 std::optional<ExtractedQuery> extracted,
+                                 ServeStatus mode) {
   Stopwatch watch;
   ServeResponse response;
   std::optional<GroundedRequest> grounded =
       ClassifyAndGround(request, std::move(extracted), trace, &response);
-  if (grounded.has_value()) ServeQuery(*grounded, trace, deadline, &response);
+  if (grounded.has_value()) {
+    if (mode == ServeStatus::kOk) {
+      ServeQuery(*grounded, trace, deadline, &response);
+    } else {
+      ServeCachedOrApology(&response, grounded->key, mode);
+    }
+  }
 
-  // A timed-out request's caller is gone; vocalizing the apology would hold
-  // the worker for nothing (under overload, precisely when it hurts most).
-  if (options_.simulated_vocalize_seconds > 0.0 &&
-      response.status != ServeStatus::kTimeout &&
-      response.status != ServeStatus::kShed) {
+  // The overload turnaround never vocalizes, and a timed-out request's
+  // caller is gone: vocalizing the apology would hold the worker for nothing
+  // (under overload, precisely when it hurts most).
+  if (mode == ServeStatus::kOk && options_.simulated_vocalize_seconds > 0.0 &&
+      response.status != ServeStatus::kTimeout) {
     obs::ScopedSpan vocalize_span(trace, "vocalize");
     std::this_thread::sleep_for(
         std::chrono::duration<double>(options_.simulated_vocalize_seconds));
@@ -204,8 +208,7 @@ void EngineHost::ServeQuery(const GroundedRequest& grounded, obs::Trace* trace,
         if (answer->answered && !answer->degraded) {
           cache_->Put(key, answer, options_.answer_ttl_seconds,
                       fingerprint_, options_.cache_byte_quota);
-        } else if (!answer->answered && !starved &&
-                   options_.cache_unanswerable) {
+        } else if (!answer->answered && !starved) {
           cache_->Put(key, answer, options_.unanswerable_ttl_seconds,
                       fingerprint_, options_.cache_byte_quota);
         }
@@ -239,22 +242,6 @@ void EngineHost::ServeQuery(const GroundedRequest& grounded, obs::Trace* trace,
     response->status = ServeStatus::kTimeout;
     response->text = VoiceQueryEngine::TimedOutText();
   }
-}
-
-ServeResponse EngineHost::HandleOverload(const std::string& request,
-                                         ServeStatus fallback_status,
-                                         obs::Trace* trace,
-                                         std::optional<ExtractedQuery> extracted) {
-  Stopwatch watch;
-  ServeResponse response;
-  std::optional<GroundedRequest> grounded =
-      ClassifyAndGround(request, std::move(extracted), trace, &response);
-  if (grounded.has_value()) {
-    ServeCachedOrApology(&response, grounded->key, fallback_status);
-  }
-  RecordOutcome(response);
-  response.seconds = watch.ElapsedSeconds();
-  return response;
 }
 
 void EngineHost::ServeCachedOrApology(ServeResponse* response,
@@ -305,7 +292,7 @@ ServedAnswerPtr EngineHost::ComputeAnswer(const VoiceQuery& query,
                             watch.ElapsedSeconds());
   }
 
-  bool wants_solve = options_.on_demand_summaries && query.target_index >= 0;
+  bool wants_solve = query.target_index >= 0;
   if (wants_solve && !(deadline != nullptr && deadline->Expired())) {
     obs::ScopedSpan on_demand_span(trace, "on_demand");
     ServedAnswerPtr solved = SolveOnDemand(query, trace, deadline);
@@ -358,11 +345,6 @@ ServedAnswerPtr EngineHost::SolveOnDemand(const VoiceQuery& query,
   pending->query = query;
   if (deadline != nullptr && deadline->enabled()) pending->deadline = *deadline;
   std::future<ServedAnswerPtr> future = pending->promise.get_future();
-
-  if (!options_.batch_on_demand) {
-    SolveBatch({std::move(pending)}, trace, deadline);
-    return future.get();
-  }
 
   // Protocol: enqueue, then loop until our promise resolves. Whoever finds
   // no active runner solves exactly ONE batch (everything queued right then,

@@ -6,8 +6,8 @@
 // coalescing, store lookup, batched on-demand summarization and the
 // most-specific-speech fallback. It deliberately owns no threads and no
 // cache: the worker pool, the sharded answer cache and the coalescer are
-// injected, so a RoutingService can run many hosts over one shared set of
-// resources while SummaryService wraps a single host with private ones.
+// injected, so a RoutingService runs many hosts -- or just one, for a
+// single-dataset deployment -- over one shared set of resources.
 #ifndef VQ_SERVE_ENGINE_HOST_H_
 #define VQ_SERVE_ENGINE_HOST_H_
 
@@ -33,19 +33,13 @@
 namespace vq {
 namespace serve {
 
-/// Per-host behavior knobs (the per-request subset of ServiceOptions).
+/// Per-host behavior knobs. Every host answers a query with no exact
+/// pre-computed speech by running greedy summarization at request time, and
+/// groups concurrent such misses that share a target column into one shared
+/// pass over the table (one row scan + one prior computation per batch).
+/// "I have no summary..." outcomes are cached too, shielding the optimizer
+/// from repeated unanswerable queries.
 struct HostOptions {
-  /// Run greedy summarization at request time for queries with no exact
-  /// pre-computed speech (instead of only falling back to the most specific
-  /// containing speech, as the bare engine does).
-  bool on_demand_summaries = true;
-  /// Group concurrent on-demand misses that share a target column and solve
-  /// them in one shared pass over the table (one row scan + one prior
-  /// computation per batch instead of per query).
-  bool batch_on_demand = true;
-  /// Cache "I have no summary..." outcomes too, shielding the optimizer
-  /// from repeated unanswerable queries.
-  bool cache_unanswerable = true;
   /// TTL for cached unanswerable (negative) results; <= 0 keeps them until
   /// LRU eviction. A bounded TTL lets answers learned later (store reloads,
   /// new datasets) replace stale apologies.
@@ -107,9 +101,6 @@ struct HostOptions {
 /// fresh-constructed policy silently reset unmentioned knobs (e.g. the
 /// negative-result TTL) to their struct defaults instead of the fleet's.
 struct HostOverrides {
-  std::optional<bool> on_demand_summaries;
-  std::optional<bool> batch_on_demand;
-  std::optional<bool> cache_unanswerable;
   std::optional<double> unanswerable_ttl_seconds;
   std::optional<double> answer_ttl_seconds;
   std::optional<bool> record_learned;
@@ -168,8 +159,10 @@ struct HostStats {
 ///
 /// The engine, cache and coalescer must outlive the host; the engine must
 /// not be mutated while the host is answering (VoiceQueryEngine contract).
-/// All public methods are thread-safe. The host is sessionless (see
-/// SummaryService for the rationale).
+/// All public methods are thread-safe. The host is sessionless: "repeat
+/// that" requests are answered with the no-history response, because
+/// per-user repeat state belongs to the connection layer above, which can
+/// keep a VoiceQueryEngine::Session.
 class EngineHost {
  public:
   /// `generation` (when non-zero) is folded into the cache-key fingerprint:
@@ -201,21 +194,17 @@ class EngineHost {
   /// `request`, as the router's winning walk produced it
   /// (RoutingService::RouteDecision::query); given, classification reuses it
   /// instead of walking the vocabulary again.
+  /// `mode` kOk runs the full pipeline. kShed or kTimeout is the overload
+  /// turnaround the router takes when it refuses the full pipeline
+  /// (admission shed, deadline expired during routing): classify + ground
+  /// only -- no solve, no coalescing, no simulated vocalization -- then a
+  /// cached answer if one exists, even TTL-expired (marked stale, status
+  /// kDegraded), else the apology for `mode`. Non-query requests (help etc.)
+  /// get their canned texts in every mode.
   ServeResponse Handle(const std::string& request, obs::Trace* trace = nullptr,
                        const Deadline* deadline = nullptr,
-                       std::optional<ExtractedQuery> extracted = std::nullopt);
-
-  /// Overload path, used by the router when it refuses to run the full
-  /// pipeline (admission shed, queue-expired deadline): classify + ground
-  /// only -- no solve, no coalescing -- then serve a cached answer if one
-  /// exists, even TTL-expired (marked stale, status kDegraded). With nothing
-  /// cached, apologizes with `fallback_status` (kShed or kTimeout).
-  /// Non-query requests (help etc.) get their canned texts as usual.
-  /// `extracted` as for Handle.
-  ServeResponse HandleOverload(const std::string& request,
-                               ServeStatus fallback_status,
-                               obs::Trace* trace = nullptr,
-                               std::optional<ExtractedQuery> extracted = std::nullopt);
+                       std::optional<ExtractedQuery> extracted = std::nullopt,
+                       ServeStatus mode = ServeStatus::kOk);
 
   /// Aggregated optimizer work counters (join/bound row visits, pruning
   /// decisions) over every on-demand solve this host ran. Batches run
@@ -282,11 +271,11 @@ class EngineHost {
     std::string key;
   };
 
-  /// The prologue Handle and HandleOverload share: counts the request,
-  /// classifies it (from `extracted` when the router already walked it),
-  /// and sets `response`'s type. A help/repeat/other request gets its canned
-  /// text and nullopt; a data-access query is counted and grounded, and its
-  /// query and cache key come back.
+  /// Handle's prologue in every mode: counts the request, classifies it
+  /// (from `extracted` when the router already walked it), and sets
+  /// `response`'s type. A help/repeat/other request gets its canned text and
+  /// nullopt; a data-access query is counted and grounded, and its query and
+  /// cache key come back.
   std::optional<GroundedRequest> ClassifyAndGround(
       const std::string& request, std::optional<ExtractedQuery> extracted,
       obs::Trace* trace, ServeResponse* response);

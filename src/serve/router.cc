@@ -26,7 +26,7 @@ RoutingService::RoutingService(const DatasetRegistry* registry,
           metrics_->GetHistogram("vq_router_deadline_overrun_seconds")),
       sampled_traces_(options.trace_log_capacity),
       slow_queries_(options.trace_log_capacity),
-      pool_(options.num_threads, ThreadPoolOptions{.numa_pin = true}) {
+      pool_(options.num_threads) {
   cache_.AttachMetrics(metrics_);
   // Eager initial build so the constructor's cost (host construction per
   // dataset) is not paid by the first request.
@@ -439,22 +439,18 @@ RoutedResponse RoutingService::Process(const std::string& request,
     } active_guard{&slot.active_requests};
     uint64_t active =
         slot.active_requests.fetch_add(1, std::memory_order_relaxed) + 1;
+    // A saturated dataset (admission shed) or a budget that died during
+    // routing takes the host's cheap overload turnaround: classify +
+    // cached/stale lookup, never a solve.
+    ServeStatus mode = ServeStatus::kOk;
     if (host_options.max_pending_requests > 0 &&
         active > host_options.max_pending_requests) {
-      // This dataset is saturated: cheap overload turnaround (classify +
-      // cached/stale lookup, never a solve).
-      out.response = slot.host->HandleOverload(request, ServeStatus::kShed,
-                                               trace.get(),
-                                               std::move(decision.query));
+      mode = ServeStatus::kShed;
     } else if (deadline != nullptr && deadline->Expired()) {
-      // Budget died during routing: same cheap path, flagged timeout.
-      out.response = slot.host->HandleOverload(request, ServeStatus::kTimeout,
-                                               trace.get(),
-                                               std::move(decision.query));
-    } else {
-      out.response = slot.host->Handle(request, trace.get(), deadline,
-                                       std::move(decision.query));
+      mode = ServeStatus::kTimeout;
     }
+    out.response = slot.host->Handle(request, trace.get(), deadline,
+                                     std::move(decision.query), mode);
     out.dataset = slot.host->name();
     out.routed = true;
     out.route_score = decision.score;

@@ -134,9 +134,9 @@ class TableIndex {
   /// Affinity memory for the parallel fan-out: the scan-pool worker that
   /// last executed each shard's filter task. The planner submits the next
   /// task for that shard with this as the placement hint, so a shard tends
-  /// to be rescanned by the worker whose cache (and NUMA node, when pinning
-  /// is active) already holds its lists. Relaxed atomics: a stale or torn
-  /// hint only costs locality, never correctness.
+  /// to be rescanned by the worker whose cache already holds its lists.
+  /// Relaxed atomics: a stale or torn hint only costs locality, never
+  /// correctness.
   // relaxed: a cache-affinity hint; staleness costs locality, never
   // correctness.
   uint32_t shard_last_worker(size_t s) const {

@@ -61,11 +61,6 @@ double NormalCdf(double x, double mean, double stddev) {
   return NormalCdf((x - mean) / stddev);
 }
 
-double NormalGreaterProbability(double mu_x, double mu_y, double sigma) {
-  if (sigma <= 0.0) return mu_x > mu_y ? 1.0 : (mu_x < mu_y ? 0.0 : 0.5);
-  return NormalCdf((mu_x - mu_y) / (std::sqrt(2.0) * sigma));
-}
-
 void RunningStats::Add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;

@@ -33,11 +33,6 @@ double NormalCdf(double z);
 /// Normal CDF with the given mean and standard deviation.
 double NormalCdf(double x, double mean, double stddev);
 
-/// P(X > Y) for independent X ~ N(mu_x, sigma^2), Y ~ N(mu_y, sigma^2).
-/// This is the pruning-probability primitive of the paper's cost model
-/// (Section VI-C): Pr(Ps->t) = Phi((mu_s - mu_t) / (sqrt(2) * sigma)).
-double NormalGreaterProbability(double mu_x, double mu_y, double sigma);
-
 /// \brief Streaming mean/variance accumulator (Welford's algorithm).
 class RunningStats {
  public:

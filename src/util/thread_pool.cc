@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/numa.h"
-
 namespace vq {
 
 namespace {
@@ -16,17 +14,14 @@ thread_local size_t tl_worker_index = ThreadPool::kNotAWorker;
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads, const ThreadPoolOptions& options) {
+ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
   hinted_.resize(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i, numa_pin = options.numa_pin] {
-      if (numa_pin) numa::PinThreadToNode(i % numa::NumNodes());
-      WorkerLoop(i);
-    });
+    workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -138,8 +133,7 @@ void ThreadPool::WorkerLoop(size_t index) {
 ThreadPool& ScanPool() {
   // Never destroyed: scan tasks may still be draining when static
   // destructors run (the serving pools are leaked for the same reason).
-  static ThreadPool* pool =
-      new ThreadPool(0, ThreadPoolOptions{.numa_pin = true});
+  static ThreadPool* pool = new ThreadPool(0);
   return *pool;
 }
 

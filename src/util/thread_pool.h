@@ -20,31 +20,19 @@
 
 namespace vq {
 
-/// Construction knobs for ThreadPool (defaults preserve the historical
-/// shared-FIFO behavior exactly).
-struct ThreadPoolOptions {
-  /// Pin worker i to NUMA node (i % nodes) via util/numa.h. A no-op unless
-  /// VQ_NUMA is set and the machine exposes multiple nodes, so pools can
-  /// request it unconditionally (scan + solve pools do).
-  bool numa_pin = false;
-};
-
 /// \brief Fixed-size thread pool: a shared FIFO queue plus one small hinted
 /// queue per worker.
 ///
 /// Submit() is the historical any-worker path. SubmitHinted(hint, ...) asks
 /// for the task to run on worker `hint % NumThreads()` -- the scan planner
 /// uses it to re-run a shard on the worker that scanned it last, keeping the
-/// shard's pages hot in that worker's cache (and on its NUMA node when
-/// pinning is on). The hint is a preference, not a guarantee: idle workers
-/// steal hinted tasks rather than sleep, so a busy hinted worker can never
-/// strand work.
+/// shard's pages hot in that worker's cache. The hint is a preference, not a
+/// guarantee: idle workers steal hinted tasks rather than sleep, so a busy
+/// hinted worker can never strand work.
 class ThreadPool {
  public:
   /// `num_threads` == 0 picks hardware concurrency (at least 1).
-  explicit ThreadPool(size_t num_threads = 0)
-      : ThreadPool(num_threads, ThreadPoolOptions{}) {}
-  ThreadPool(size_t num_threads, const ThreadPoolOptions& options);
+  explicit ThreadPool(size_t num_threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -120,8 +108,7 @@ void ParallelFor(ThreadPool* pool, size_t count,
 
 /// Process-wide pool for data-parallel storage/scan work: sharded index
 /// builds and the scan planner's per-shard filter fan-out. Lazily created
-/// with hardware concurrency and NUMA pinning requested (a no-op off
-/// multi-node machines, see util/numa.h), never destroyed. Deliberately
+/// with hardware concurrency, never destroyed. Deliberately
 /// separate from the serving solve pools: FilterRows runs ON solve-pool
 /// workers, and fanning shard tasks into the pool the caller blocks on
 /// would deadlock once every worker is a blocked caller.

@@ -10,12 +10,14 @@
 #include <atomic>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "serve/registry.h"
 #include "serve/router.h"
+#include "testing/status_ledger.h"
 #include "util/fault.h"
 #include "util/stopwatch.h"
 
@@ -260,15 +262,20 @@ TEST_F(OverloadTest, ShedServesStaleCacheEntryMarkedDegraded) {
                                 policy)
                   .ok());
   RoutingService router(&registry);
+  // Every response below came out of this host's Handle; the ledger
+  // reconciles their statuses with the host's counters at the end.
+  testing::StatusLedger ledger;
   RoutedResponse warm = router.AnswerNow("cancelled in February");
+  ledger.Add(warm.response.status);
   ASSERT_TRUE(warm.response.answered);
 
   // Let the answered entry's TTL lapse, then hit the overload path: a stale
   // answer beats the overload apology and is flagged for the caller.
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   EngineHost* host = router.host("flights");
-  ServeResponse stale =
-      host->HandleOverload("cancelled in February", ServeStatus::kShed);
+  ServeResponse stale = host->Handle("cancelled in February", nullptr, nullptr,
+                                     std::nullopt, ServeStatus::kShed);
+  ledger.Add(stale.status);
   EXPECT_TRUE(stale.answered);
   EXPECT_TRUE(stale.stale);
   EXPECT_EQ(stale.status, ServeStatus::kDegraded);
@@ -276,11 +283,13 @@ TEST_F(OverloadTest, ShedServesStaleCacheEntryMarkedDegraded) {
   EXPECT_EQ(host->stats().stale_serves, 1u);
 
   // Nothing cached for this one: the shed apology comes back.
-  ServeResponse apology =
-      host->HandleOverload("cancelled in Winter", ServeStatus::kShed);
+  ServeResponse apology = host->Handle("cancelled in Winter", nullptr, nullptr,
+                                       std::nullopt, ServeStatus::kShed);
+  ledger.Add(apology.status);
   EXPECT_FALSE(apology.answered);
   EXPECT_EQ(apology.status, ServeStatus::kShed);
   EXPECT_EQ(apology.text, VoiceQueryEngine::OverloadedText());
+  ledger.ExpectMatches(host->stats());
 }
 
 TEST_F(OverloadTest, PoolSubmitFaultShedsAtTheDoor) {

@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/voice_engine.h"
-#include "serve/service.h"
+#include "serve/registry.h"
+#include "serve/router.h"
 #include "storage/datasets.h"
 
 namespace vq {
@@ -73,17 +73,20 @@ TEST(PerfCountersTest, MergedSumsWithoutMutatingOperands) {
 }
 
 TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
-  Table table = MakeFlightsTable(/*rows=*/600, /*seed=*/7);
   Configuration config;
   config.table = "flights";
   config.dimensions = {"airline"};
   config.targets = {"cancelled"};
   config.max_query_predicates = 1;
-  auto engine = VoiceQueryEngine::Build(&table, config, {});
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry
+                  .AddDataset("flights", MakeFlightsTable(/*rows=*/600, /*seed=*/7),
+                              config)
+                  .ok());
 
   // Months are outside the configuration, so every request below misses the
   // store and reaches the batched on-demand optimizer.
+  const Table& table = *registry.table("flights");
   std::vector<std::string> requests;
   const Dictionary& months =
       table.dict(static_cast<size_t>(table.DimIndex("month")));
@@ -92,33 +95,34 @@ TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
   }
   ASSERT_GE(requests.size(), 4u);
 
-  ServiceOptions options;
+  RouterOptions options;
   options.num_threads = 8;
-  SummaryService service(&engine.value(), options);
-  EXPECT_EQ(service.host().perf().join_rows, 0u);
+  RoutingService router(&registry, options);
+  const EngineHost& host = *router.host("flights");
+  EXPECT_EQ(host.perf().join_rows, 0u);
 
-  std::vector<std::future<ServeResponse>> futures;
+  std::vector<std::future<RoutedResponse>> futures;
   for (int round = 0; round < 2; ++round) {
-    for (const auto& request : requests) futures.push_back(service.Submit(request));
+    for (const auto& request : requests) futures.push_back(router.Submit(request));
   }
   size_t answered = 0;
   for (auto& future : futures) {
-    if (future.get().answered) ++answered;
+    if (future.get().response.answered) ++answered;
   }
   EXPECT_EQ(answered, futures.size());
 
   // Every unique query was optimized exactly once (coalescing + cache), and
   // each solve charged its join work to the host aggregate.
-  ServiceStats stats = service.stats();
+  HostStats stats = host.stats();
   EXPECT_EQ(stats.on_demand_summaries, requests.size());
-  PerfCounters perf = service.host().perf();
+  PerfCounters perf = host.perf();
   EXPECT_GT(perf.join_rows, 0u);
   EXPECT_GE(perf.groups_joined, requests.size());
 
   // A warm replay adds no optimizer work: the aggregate is monotone and
   // only grows on actual solves.
-  for (const auto& request : requests) (void)service.AnswerNow(request);
-  PerfCounters after = service.host().perf();
+  for (const auto& request : requests) (void)router.AnswerNow(request);
+  PerfCounters after = host.perf();
   EXPECT_EQ(after.join_rows, perf.join_rows);
   EXPECT_EQ(after.groups_joined, perf.groups_joined);
 }

@@ -261,7 +261,9 @@ TEST(DynamicRegistryTest, PerDatasetPoliciesOverrideTheFleetDefault) {
   ASSERT_TRUE(
       registry.AddGenerated("flights", FlightsConfig(), 300, kSeed).ok());
 
-  RoutingService router(&registry);
+  RouterOptions fleet;
+  fleet.host.answer_ttl_seconds = 30.0;
+  RoutingService router(&registry, fleet);
   ASSERT_NE(router.host("re"), nullptr);
   ASSERT_NE(router.host("flights"), nullptr);
   // The policy's explicit fields override the fleet default for "re" only.
@@ -272,12 +274,11 @@ TEST(DynamicRegistryTest, PerDatasetPoliciesOverrideTheFleetDefault) {
                    60.0);
   EXPECT_EQ(router.host("flights")->options().cache_byte_quota, 0u);
   // Merge semantics: every field the policy left unset keeps the FLEET
-  // value -- "re" still batches on-demand solves and keeps the fleet's
+  // value, not the struct default -- "re" keeps the fleet's answer TTL and
   // trace sampling even though its policy never mentioned either.
-  EXPECT_EQ(router.host("re")->options().batch_on_demand,
-            RouterOptions{}.host.batch_on_demand);
+  EXPECT_DOUBLE_EQ(router.host("re")->options().answer_ttl_seconds, 30.0);
   EXPECT_EQ(router.host("re")->options().trace_samples_per_second,
-            RouterOptions{}.host.trace_samples_per_second);
+            fleet.host.trace_samples_per_second);
 }
 
 TEST(DynamicRegistryTest, CacheByteQuotaBoundsOneDatasetsOccupancy) {

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "serve/registry.h"
+#include "storage/datasets.h"
+#include "testing/status_ledger.h"
 #include "testing/utterances.h"
 
 namespace vq {
@@ -109,6 +113,12 @@ TEST_F(RoutingServiceTest, RoutesInterleavedQueriesAcrossThreeDatasets) {
   ASSERT_EQ(stats.per_dataset.size(), 3u);
   for (const auto& [name, count] : stats.per_dataset) {
     EXPECT_EQ(count, 3u * kRounds) << name;
+    HostStats host = router.host(name)->stats();
+    // Every query is materialized, so nothing needed the optimizer, and
+    // each query either hit or missed the cache exactly once.
+    EXPECT_EQ(host.on_demand_summaries, 0u) << name;
+    EXPECT_GT(host.cache_hits, 0u) << name;
+    EXPECT_EQ(host.cache_hits + host.cache_misses, host.queries) << name;
   }
 }
 
@@ -130,6 +140,171 @@ TEST_F(RoutingServiceTest, HelpIsServedWithoutRouting) {
   EXPECT_EQ(help.response.type, RequestType::kHelp);
   EXPECT_NE(help.response.text.find("flights"), std::string::npos);
   EXPECT_NE(help.response.text.find("primaries"), std::string::npos);
+}
+
+Configuration RunningExampleConfig(std::vector<std::string> dimensions = {
+                                       "region", "season"}) {
+  Configuration config;
+  config.table = "running_example";
+  config.dimensions = std::move(dimensions);
+  config.targets = {"delay"};
+  config.max_query_predicates = 2;
+  config.max_fact_dims = 2;
+  config.max_facts = 3;
+  config.prior = PriorKind::kZero;
+  return config;
+}
+
+void AddDelaysSynonym(VoiceQueryEngine* engine) {
+  EXPECT_TRUE(engine->mutable_extractor()->AddTargetSynonym("delays", "delay").ok());
+}
+
+/// The single-dataset deployment: the running example registered alone
+/// behind a RoutingService. Every response a test gets back through
+/// Answer/Collect is tallied by status, and TearDown reconciles the tally
+/// with the router's own counters.
+class OneDatasetRouterTest : public ::testing::Test {
+ protected:
+  void Start(Configuration config, RouterOptions options = {}) {
+    ASSERT_TRUE(registry_
+                    .AddDataset("re", MakeRunningExampleTable(), std::move(config),
+                                {}, std::nullopt, AddDelaysSynonym)
+                    .ok());
+    router_ = std::make_unique<RoutingService>(&registry_, options);
+  }
+
+  void TearDown() override {
+    if (router_ == nullptr) return;
+    router_->Drain();
+    ledger_.ExpectMatches(router_->stats());
+  }
+
+  RoutedResponse Answer(const std::string& request) {
+    return Tally(router_->AnswerNow(request));
+  }
+  RoutedResponse Collect(std::future<RoutedResponse>& future) {
+    return Tally(future.get());
+  }
+
+  const EngineHost& host() const { return *router_->host("re"); }
+  const VoiceQueryEngine& engine() const { return *registry_.engine("re"); }
+
+  DatasetRegistry registry_;
+  std::unique_ptr<RoutingService> router_;
+
+ private:
+  RoutedResponse Tally(RoutedResponse routed) {
+    ledger_.Add(routed.response.status);
+    return routed;
+  }
+
+  testing::StatusLedger ledger_;
+};
+
+TEST_F(OneDatasetRouterTest, AnswersExactQueryLikeTheEngine) {
+  Start(RunningExampleConfig());
+  VoiceQueryEngine::Session session;
+  auto expected = engine().Answer("delays in Winter", &session);
+  ASSERT_NE(expected.speech, nullptr);
+
+  RoutedResponse routed = Answer("delays in Winter");
+  EXPECT_TRUE(routed.routed);
+  EXPECT_EQ(routed.dataset, "re");
+  const ServeResponse& response = routed.response;
+  EXPECT_EQ(response.type, RequestType::kSupportedQuery);
+  EXPECT_TRUE(response.answered);
+  EXPECT_EQ(response.source, AnswerSource::kStoreExact);
+  EXPECT_EQ(response.text, expected.text);
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_GE(response.seconds, 0.0);
+}
+
+TEST_F(OneDatasetRouterTest, RepeatedQueryHitsTheCache) {
+  Start(RunningExampleConfig());
+  ServeResponse first = Answer("delays in Winter").response;
+  ServeResponse second = Answer("delays in Winter").response;
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(second.cache_hit);
+  EXPECT_EQ(second.text, first.text);
+  EXPECT_EQ(second.source, first.source);
+  HostStats stats = host().stats();
+  EXPECT_EQ(stats.cache_hits, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.store_exact_hits, 1u);
+  EXPECT_GT(router_->cache().TotalStats().HitRate(), 0.0);
+}
+
+TEST_F(OneDatasetRouterTest, RepeatAndOtherAreAnsweredWithoutAQuery) {
+  Start(RunningExampleConfig());
+  ServeResponse repeat = Answer("repeat that").response;
+  EXPECT_EQ(repeat.type, RequestType::kRepeat);
+  EXPECT_NE(repeat.text.find("nothing to repeat"), std::string::npos);
+  ServeResponse other = Answer("sing me a song please").response;
+  EXPECT_EQ(other.type, RequestType::kOther);
+  EXPECT_FALSE(other.answered);
+  EXPECT_EQ(router_->stats().requests, 2u);
+  EXPECT_EQ(host().stats().queries, 0u);
+}
+
+TEST_F(OneDatasetRouterTest, OnDemandSummarizesNonMaterializedQuery) {
+  // Pre-process only season queries; ask about a region. The bare engine can
+  // only fall back to the all-records speech, the router's host optimizes
+  // the exact subset on demand -- and its answer must match what a full
+  // pre-processing run would have stored for region=North.
+  Table full_table = MakeRunningExampleTable();
+  auto full = VoiceQueryEngine::Build(&full_table, RunningExampleConfig(), {});
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  AddDelaysSynonym(&full.value());
+  VoiceQueryEngine::Session session;
+  std::string expected_north = full.value().Answer("delays in the North", &session).text;
+
+  Start(RunningExampleConfig({"season"}));
+  VoiceQueryEngine::Session season_session;
+  auto engine_answer = engine().Answer("delays in the North", &season_session);
+  ASSERT_NE(engine_answer.speech, nullptr);
+  EXPECT_TRUE(engine_answer.speech->query.predicates.empty())
+      << "engine should only find the unfiltered fallback speech";
+
+  ServeResponse response = Answer("delays in the North").response;
+  EXPECT_TRUE(response.answered);
+  EXPECT_EQ(response.source, AnswerSource::kOnDemand);
+  EXPECT_EQ(response.text, expected_north);
+  EXPECT_NE(response.text, engine_answer.text);
+  EXPECT_EQ(host().stats().on_demand_summaries, 1u);
+
+  // The on-demand answer is cached like any other.
+  ServeResponse again = Answer("delays in the North").response;
+  EXPECT_TRUE(again.cache_hit);
+  EXPECT_EQ(again.text, expected_north);
+  EXPECT_EQ(host().stats().on_demand_summaries, 1u);
+}
+
+TEST_F(OneDatasetRouterTest, ConcurrentIdenticalMissesSummarizeExactlyOnce) {
+  RouterOptions options;
+  options.num_threads = 4;
+  Start(RunningExampleConfig({"season"}), options);
+
+  const int kRequests = 32;
+  std::vector<std::future<RoutedResponse>> futures;
+  futures.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(router_->Submit("delays in the North"));
+  }
+  std::string text;
+  for (auto& future : futures) {
+    ServeResponse response = Collect(future).response;
+    EXPECT_TRUE(response.answered);
+    if (text.empty()) text = response.text;
+    EXPECT_EQ(response.text, text);
+  }
+  HostStats stats = host().stats();
+  // The coalescing invariant: one optimization run for the unique query, and
+  // every other request either hit the cache or waited on the leader.
+  EXPECT_EQ(stats.on_demand_summaries, 1u);
+  EXPECT_EQ(stats.cache_hits + stats.coalesced_waits,
+            static_cast<uint64_t>(kRequests - 1));
+  EXPECT_EQ(router_->coalescer().leaders(), 1u);
+  EXPECT_EQ(router_->coalescer().InFlight(), 0u);
 }
 
 TEST(RoutingIsolationTest, IdenticalQueryTextIsolatedByFingerprint) {
@@ -224,20 +399,20 @@ TEST(RoutingBatchTest, ConcurrentDistinctMissesAreBatchedAndCorrect) {
       "delay in the North", "delay in the South", "delay in the East",
       "delay in the West"};
 
-  // Expected texts via an unbatched host.
-  RouterOptions unbatched;
-  unbatched.host.batch_on_demand = false;
+  // Expected texts answered one at a time: with one request in flight,
+  // every batch holds exactly one query.
   std::vector<std::string> expected;
   {
-    RoutingService router(&registry, unbatched);
+    RoutingService router(&registry);
     for (const auto& request : requests) {
       RoutedResponse routed = router.AnswerNow(request);
       EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << request;
       expected.push_back(routed.response.text);
     }
     HostStats stats = router.host("re")->stats();
-    // Unbatched: one pass per on-demand query.
+    // Sequential: one pass per on-demand query.
     EXPECT_EQ(stats.on_demand_passes, requests.size());
+    EXPECT_EQ(stats.max_batch, 1u);
     EXPECT_EQ(stats.on_demand_summaries, requests.size());
   }
 

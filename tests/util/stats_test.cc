@@ -60,19 +60,6 @@ TEST(StatsTest, NormalCdfParameterized) {
   EXPECT_DOUBLE_EQ(NormalCdf(5.1, 5.0, 0.0), 1.0);
 }
 
-TEST(StatsTest, NormalGreaterProbability) {
-  // Equal means: a coin flip.
-  EXPECT_NEAR(NormalGreaterProbability(1.0, 1.0, 0.5), 0.5, 1e-12);
-  // Larger mean on X: above one half; symmetric counterpart below.
-  double p = NormalGreaterProbability(2.0, 1.0, 0.5);
-  EXPECT_GT(p, 0.5);
-  EXPECT_NEAR(NormalGreaterProbability(1.0, 2.0, 0.5), 1.0 - p, 1e-12);
-  // Degenerate sigma.
-  EXPECT_DOUBLE_EQ(NormalGreaterProbability(2.0, 1.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(NormalGreaterProbability(1.0, 2.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(NormalGreaterProbability(1.0, 1.0, 0.0), 0.5);
-}
-
 TEST(StatsTest, RunningStatsMatchesBatch) {
   std::vector<double> xs = {1.5, -2.0, 7.25, 0.0, 3.5, 3.5};
   RunningStats rs;

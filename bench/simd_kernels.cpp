@@ -10,10 +10,10 @@
 // routed qps at 4 threads against the BENCH_router.json baseline, proving
 // the kernel layer does not regress the serving fleet.
 //
-// Emits BENCH_simd.json (override with VQ_BENCH_OUT). Exits non-zero when a
-// vector table is dispatched but the weighted-deviation or
-// single-fact-utility kernels fall under 2x, greedy does not improve, or
-// routed qps regresses by more than 15%. On machines whose dispatch
+// Emits BENCH_simd.json (override with VQ_BENCH_OUT). Exits non-zero when the
+// avx2 table is dispatched but the weighted-deviation kernel falls under 2x
+// or greedy does not improve, or a vector table is dispatched and routed
+// qps regresses by more than 15%. On machines whose dispatch
 // resolves to scalar (no AVX2/NEON, or VQ_FORCE_SCALAR) the speedup gates
 // are skipped: there is nothing to compare.
 //
@@ -135,6 +135,7 @@ int main() {
   std::span<const double> prior_dev = evaluator.PriorDeviations();
   const std::vector<double>& weights = instance.weight;
   const std::vector<double>& targets = instance.target;
+  const double* target_weight = evaluator.RowTargetWeights().data();
 
   // Mutable deviation column for min_update, pre-settled so both tables
   // measure the same steady state (first application lowers rows; settled
@@ -143,23 +144,18 @@ int main() {
   for (uint32_t i = 0; i < group.num_facts; ++i) {
     vq::FactId id = group.first_fact + i;
     auto scope = catalog.ScopeRows(id);
-    (void)scalar.min_update(settled.data(), scope.data(), catalog.ScopeDevs(id).data(),
-                            catalog.ScopeWeights(id).data(), scope.size());
+    (void)scalar.min_update(settled.data(), scope.data(), target_weight,
+                            catalog.fact(id).value, scope.size());
   }
   std::vector<double> utilities = evaluator.SingleFactUtilities();
 
-  // ---- Per-kernel measurements (full instance pass per call, ns/block;
-  // kernels whose pass covers more than one instance-worth of rows override
-  // the block count).
-  auto bench_kernel = [&](const std::string& name, auto&& call,
-                          double pass_blocks = 0.0) {
-    if (pass_blocks <= 0.0) pass_blocks = blocks;
+  // ---- Per-kernel measurements (full instance pass per call, ns/block).
+  auto bench_kernel = [&](const std::string& name, auto&& call) {
     KernelResult result;
     result.name = name;
-    result.scalar_ns_per_block =
-        MicrosPerCall([&] { call(scalar); }) * 1e3 / pass_blocks;
+    result.scalar_ns_per_block = MicrosPerCall([&] { call(scalar); }) * 1e3 / blocks;
     result.dispatched_ns_per_block =
-        MicrosPerCall([&] { call(dispatched); }) * 1e3 / pass_blocks;
+        MicrosPerCall([&] { call(dispatched); }) * 1e3 / blocks;
     result.speedup = result.scalar_ns_per_block / result.dispatched_ns_per_block;
     return result;
   };
@@ -192,39 +188,11 @@ int main() {
         for (uint32_t i = 0; i < group.num_facts; ++i) {
           vq::FactId id = group.first_fact + i;
           auto scope = catalog.ScopeRows(id);
-          bound = std::max(bound, k.gather_weighted_sum(
-                                      prior_dev.data(), scope.data(),
-                                      catalog.ScopeWeights(id).data(), scope.size()));
+          bound = std::max(bound, k.gather_weighted_sum(prior_dev.data(), scope.data(),
+                                                        target_weight, scope.size()));
         }
         Sink(bound);
       }));
-  double join_blocks =
-      static_cast<double>(catalog.NumGroups()) * blocks;  // rows per full join
-  // positive_gain's dense input: the prior deviation of every scope entry,
-  // pre-gathered into CSR order (fact by fact, aligned with ScopeRows).
-  std::vector<double> csr_prior_dev;
-  std::vector<size_t> csr_begin;
-  csr_prior_dev.reserve(catalog.NumGroups() * n);
-  for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
-    csr_begin.push_back(csr_prior_dev.size());
-    for (uint32_t r : catalog.ScopeRows(id)) csr_prior_dev.push_back(prior_dev[r]);
-  }
-  kernels.push_back(bench_kernel(
-      "positive_gain",
-      [&](const vq::simd::Kernels& k) {
-        // The dense single-fact-utility reduction on the FULL
-        // initialization join: every fact of every group, streaming the
-        // CSR-aligned SoA tables and the pre-gathered prior deviations above.
-        double total = 0.0;
-        for (vq::FactId id = 0; id < catalog.NumFacts(); ++id) {
-          auto scope = catalog.ScopeRows(id);
-          total += k.positive_gain(csr_prior_dev.data() + csr_begin[id],
-                                   catalog.ScopeDevs(id).data(),
-                                   catalog.ScopeWeights(id).data(), scope.size());
-        }
-        Sink(total);
-      },
-      join_blocks));
   kernels.push_back(
       bench_kernel("gather_positive_gain", [&](const vq::simd::Kernels& k) {
         // Greedy gain-loop shape: the largest group's segments, gathering
@@ -233,10 +201,8 @@ int main() {
         for (uint32_t i = 0; i < group.num_facts; ++i) {
           vq::FactId id = group.first_fact + i;
           auto scope = catalog.ScopeRows(id);
-          total += k.gather_positive_gain(prior_dev.data(), scope.data(),
-                                          catalog.ScopeDevs(id).data(),
-                                          catalog.ScopeWeights(id).data(),
-                                          scope.size());
+          total += k.gather_positive_gain(prior_dev.data(), scope.data(), target_weight,
+                                          catalog.fact(id).value, scope.size());
         }
         Sink(total);
       }));
@@ -245,9 +211,8 @@ int main() {
     for (uint32_t i = 0; i < group.num_facts; ++i) {
       vq::FactId id = group.first_fact + i;
       auto scope = catalog.ScopeRows(id);
-      reduction += k.min_update(settled.data(), scope.data(),
-                                catalog.ScopeDevs(id).data(),
-                                catalog.ScopeWeights(id).data(), scope.size());
+      reduction += k.min_update(settled.data(), scope.data(), target_weight,
+                                catalog.fact(id).value, scope.size());
     }
     Sink(reduction);
   }));
@@ -374,10 +339,9 @@ int main() {
     ok = ok && (baseline_qps == 0.0 || qps_delta_pct > -15.0);
   }
   if (avx2_dispatch) {
-    // The weighted-deviation and single-fact-utility kernels carry the
-    // acceptance bar; greedy must improve end to end.
-    ok = ok && kernel_speedup("weighted_abs_dev") >= 2.0 &&
-         kernel_speedup("positive_gain") >= 2.0 && greedy_speedup > 1.0;
+    // The weighted-deviation kernel carries the acceptance bar; greedy
+    // must improve end to end.
+    ok = ok && kernel_speedup("weighted_abs_dev") >= 2.0 && greedy_speedup > 1.0;
   }
 
   // ---- Machine-readable report.

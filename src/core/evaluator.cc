@@ -53,15 +53,14 @@ Evaluator::Evaluator(const SummaryInstance* instance, const FactCatalog* catalog
   // Zero-padded to whole blocks for the masked block-sum and single-fact
   // kernels (see header).
   prior_dev_weighted_.assign(words * 64, 0.0);
-  target_padded_.assign(words * 64, 0.0);
-  weight_padded_.assign(words * 64, 0.0);
+  row_target_weight_.assign(2 * words * 64, 0.0);
   prior_block_weighted_.assign(words, 0.0);
   for (size_t r = 0; r < inst.num_rows; ++r) {
+    row_target_weight_[2 * r] = inst.target[r];
+    row_target_weight_[2 * r + 1] = inst.weight[r];
     prior_dev_[r] = std::fabs(inst.prior - inst.target[r]);
     max_prior_dev_ = std::max(max_prior_dev_, prior_dev_[r]);
     prior_dev_weighted_[r] = prior_dev_[r] * inst.weight[r];
-    target_padded_[r] = inst.target[r];
-    weight_padded_[r] = inst.weight[r];
     prior_block_weighted_[r >> 6] += prior_dev_weighted_[r];
   }
 }
@@ -125,18 +124,16 @@ double Evaluator::Error(std::span<const FactId> speech, ConflictModel model) con
         uint64_t mine = bits[f][w] & single;
         if (mine == 0) continue;
         single &= ~mine;
-        error += kernels.masked_single_fact(
-            all_values[f], target_padded_.data() + base,
-            weight_padded_.data() + base, prior_dev_weighted_.data() + base,
-            mine);
+        error += kernels.masked_single_fact(all_values[f],
+                                            row_target_weight_.data() + 2 * base,
+                                            prior_dev_weighted_.data() + base, mine);
       }
       cover = multi;
     } else if (model == ConflictModel::kClosest && bits.size() == 1) {
       // A one-fact speech: every covered row is single-covered.
-      error += kernels.masked_single_fact(
-          all_values[0], target_padded_.data() + base,
-          weight_padded_.data() + base, prior_dev_weighted_.data() + base,
-          cover);
+      error += kernels.masked_single_fact(all_values[0],
+                                          row_target_weight_.data() + 2 * base,
+                                          prior_dev_weighted_.data() + base, cover);
       continue;
     }
     // Covered rows resolve conflicting facts row by row (semantic core).
@@ -239,20 +236,20 @@ std::vector<double> Evaluator::RowExpectations(std::span<const FactId> speech,
 
 std::vector<double> Evaluator::SingleFactUtilities(PerfCounters* counters) const {
   // The initialization join of Algorithm 1, Line 6, as pure kernel work: per
-  // fact, stream the catalog's SoA block-delta tables (|value - target| and
-  // row weight, in CSR order) and gather the prior deviation of each scope
-  // row -- the same kernel the greedy gain loops run over their current
-  // deviation column.
+  // fact, walk its CSR scope rows and gather each row's prior deviation,
+  // target and weight -- the same kernel the greedy gain loops run over
+  // their current deviation column.
   const simd::Kernels& kernels = simd::Active();
+  const double* target_weight = row_target_weight_.data();
   std::vector<double> utilities(catalog_->NumFacts(), 0.0);
   for (uint32_t g = 0; g < catalog_->NumGroups(); ++g) {
     const FactGroup& group = catalog_->group(g);
     for (uint32_t i = 0; i < group.num_facts; ++i) {
       FactId id = group.first_fact + i;
       std::span<const uint32_t> scope = catalog_->ScopeRows(id);
-      utilities[id] = kernels.gather_positive_gain(
-          prior_dev_.data(), scope.data(), catalog_->ScopeDevs(id).data(),
-          catalog_->ScopeWeights(id).data(), scope.size());
+      utilities[id] = kernels.gather_positive_gain(prior_dev_.data(), scope.data(),
+                                                   target_weight,
+                                                   catalog_->fact(id).value, scope.size());
       // Scope popcounts within a group sum to the block size, so this
       // charges exactly what the seed's one-pass-per-group join charged.
       if (counters != nullptr) counters->join_rows += scope.size();
@@ -364,8 +361,8 @@ double GreedyState::FactGain(FactId id) const {
   const FactCatalog& catalog = evaluator_->catalog();
   std::span<const uint32_t> scope = catalog.ScopeRows(id);
   return simd::Active().gather_positive_gain(
-      row_deviation_.data(), scope.data(), catalog.ScopeDevs(id).data(),
-      catalog.ScopeWeights(id).data(), scope.size());
+      row_deviation_.data(), scope.data(), evaluator_->RowTargetWeights().data(),
+      catalog.fact(id).value, scope.size());
 }
 
 double GreedyState::GroupUtilityBound(uint32_t group_index,
@@ -382,9 +379,9 @@ double GreedyState::GroupUtilityBound(uint32_t group_index,
   for (uint32_t i = 0; i < group.num_facts; ++i) {
     FactId id = group.first_fact + i;
     std::span<const uint32_t> scope = catalog.ScopeRows(id);
-    double scope_error =
-        kernels.gather_weighted_sum(row_deviation_.data(), scope.data(),
-                                    catalog.ScopeWeights(id).data(), scope.size());
+    double scope_error = kernels.gather_weighted_sum(
+        row_deviation_.data(), scope.data(), evaluator_->RowTargetWeights().data(),
+        scope.size());
     bound = std::max(bound, scope_error);
   }
   if (counters != nullptr) counters->bound_rows += inst.num_rows;
@@ -398,8 +395,8 @@ void GreedyState::ApplyFact(FactId id) {
   // returns the weighted error reduction in one pass.
   std::span<const uint32_t> scope = catalog.ScopeRows(id);
   current_error_ -= simd::Active().min_update(
-      row_deviation_.data(), scope.data(), catalog.ScopeDevs(id).data(),
-      catalog.ScopeWeights(id).data(), scope.size());
+      row_deviation_.data(), scope.data(), evaluator_->RowTargetWeights().data(),
+      catalog.fact(id).value, scope.size());
 }
 
 }  // namespace vq

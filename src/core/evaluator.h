@@ -72,9 +72,9 @@ struct PerfCounters {
 /// runtime-dispatched kernel table (util/simd.h): the cover mask comes from
 /// one fused OR+popcount pass, uncovered rows inside partially covered
 /// blocks reduce with the masked block-sum kernel over the padded
-/// prior-deviation array, and the initialization join streams the catalog's
-/// SoA block-delta tables (ScopeDevs/ScopeWeights) through the positive-gain
-/// gather kernel over PriorDeviations(). Under kClosest, rows covered by exactly one speech fact
+/// prior-deviation array, and the initialization join runs each fact's CSR
+/// scope rows through the positive-gain gather kernel over PriorDeviations()
+/// and RowTargetWeights(). Under kClosest, rows covered by exactly one speech fact
 /// additionally resolve branchlessly through the masked single-fact kernel
 /// (their contribution is min(weighted fact deviation, weighted prior
 /// deviation)); only rows covered by SEVERAL facts still walk the
@@ -131,6 +131,13 @@ class Evaluator {
   /// and SingleFactUtilities gathers it per scope row).
   std::span<const double> PriorDeviations() const { return prior_dev_; }
 
+  /// The instance's target and weight per merged row as interleaved pairs
+  /// (target[r] at 2r, weight[r] at 2r + 1), zero-padded to a whole number
+  /// of 64-row blocks: the layout the gather kernels
+  /// (simd::Kernels::gather_positive_gain and friends) read a scope row's
+  /// values from.
+  std::span<const double> RowTargetWeights() const { return row_target_weight_; }
+
  private:
   const SummaryInstance* instance_;
   const FactCatalog* catalog_;
@@ -145,13 +152,13 @@ class Evaluator {
   /// max over rows of prior_dev_: the absolute rounding slack of
   /// SingleFactUtilityBound.
   double max_prior_dev_ = 0.0;
-  /// Block-padded copies of the instance's target and weight columns (same
-  /// padding contract), the inputs of the masked single-fact kernel: under
-  /// kClosest, rows covered by exactly ONE speech fact resolve branchlessly
-  /// as min(weighted fact deviation, weighted prior deviation) -- see
-  /// Error(). Rows covered by several facts still go through ExpectedValue.
-  std::vector<double> target_padded_;
-  std::vector<double> weight_padded_;
+  /// See RowTargetWeights(); 16 B per merged row, zero-padded to whole
+  /// blocks like prior_dev_weighted_. Besides the gather kernels it feeds
+  /// the masked single-fact kernel: under kClosest, rows covered by exactly
+  /// ONE speech fact resolve branchlessly as min(weighted fact deviation,
+  /// weighted prior deviation) -- see Error(). Rows covered by several facts
+  /// still go through ExpectedValue.
+  std::vector<double> row_target_weight_;
   /// Weighted prior deviation summed per 64-row block: the O(1) reduction
   /// for blocks no speech fact covers.
   std::vector<double> prior_block_weighted_;

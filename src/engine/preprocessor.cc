@@ -1,9 +1,37 @@
 #include "engine/preprocessor.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "util/simd.h"
 #include "util/stopwatch.h"
 
 namespace vq {
+
+namespace {
+
+/// Scope entries FactCatalog::Build is expected to write for `query`: the
+/// rows its rarest predicate selects (the whole table without predicates)
+/// times the fact groups over the dimensions it leaves free. An upper bound
+/// (the instance merges rows), good enough to order problems by size.
+uint64_t EstimatedScopeEntries(const Table& table, const VoiceQuery& query,
+                               int max_fact_dims) {
+  uint64_t rows = table.NumRows();
+  for (const EqPredicate& predicate : query.predicates) {
+    rows = std::min<uint64_t>(
+        rows, table.index().Count(static_cast<size_t>(predicate.dim), predicate.value));
+  }
+  uint64_t free_dims = table.NumDims() - query.predicates.size();
+  uint64_t groups = 0;
+  uint64_t binomial = 1;  // free_dims choose k
+  for (uint64_t k = 0; k <= static_cast<uint64_t>(max_fact_dims) && k <= free_dims; ++k) {
+    groups += binomial;
+    binomial = binomial * (free_dims - k) / (k + 1);
+  }
+  return rows * groups;
+}
+
+}  // namespace
 
 Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
                                const PreprocessOptions& options,
@@ -51,14 +79,25 @@ Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
   // registry's last step before a dataset becomes routable, and the serving
   // layer's first on-demand miss hits the index immediately. Touching the
   // SIMD kernel table latches the runtime CPU dispatch (one probe, see
-  // util/simd.h) before the workers fan out, so every solve -- and the
-  // per-fact block-delta tables FactCatalog::Build warms for each problem
-  // -- runs on the selected kernels from the first query on.
+  // util/simd.h) before the workers fan out, so every solve runs on the
+  // selected kernels from the first query on.
   (void)table.index();
   (void)simd::Active();
 
   if (options.pool != nullptr) {
-    ParallelFor(options.pool, queries.size(), solve_one);
+    // Heaviest first (ties by index): the calling thread takes the largest
+    // catalogs and the pool's workers the smallest, so each worker's heap
+    // only ever holds small ones.
+    std::vector<uint64_t> entries(queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      entries[i] = EstimatedScopeEntries(table, queries[i], config.max_fact_dims);
+    }
+    std::vector<size_t> order(queries.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::sort(order.begin(), order.end(), [&entries](size_t a, size_t b) {
+      return entries[a] != entries[b] ? entries[a] > entries[b] : a < b;
+    });
+    ParallelFor(options.pool, queries.size(), solve_one, std::move(order));
   } else {
     for (size_t i = 0; i < queries.size(); ++i) solve_one(i);
   }

@@ -32,7 +32,11 @@ struct PreprocessOptions {
   /// Per-problem exact-search budget (only relevant for Algorithm::kExact).
   double exact_timeout_seconds = 0.0;
   SpeechTemplate speech_template;
-  /// Optional thread pool; nullptr = sequential.
+  /// Optional thread pool; nullptr = sequential. With a pool, the calling
+  /// thread solves the heaviest problems (by estimated scope entries) and up
+  /// to pool->NumThreads() tasks the lightest; the store and stats are
+  /// identical to a sequential run. DatasetRegistry::AddDataset fills in
+  /// its process-wide pre-processing pool when this is nullptr.
   ThreadPool* pool = nullptr;
 };
 

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <cmath>
 
 #include "relational/group_by.h"
 
@@ -65,11 +64,7 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   // CSR tables; every entry is written exactly once below.
   size_t num_entries = num_groups * num_rows;
   catalog.scope_rows_ = std::make_unique_for_overwrite<uint32_t[]>(num_entries);
-  catalog.scope_devs_ = std::make_unique_for_overwrite<double[]>(num_entries);
-  catalog.scope_weights_ = std::make_unique_for_overwrite<double[]>(num_entries);
   uint32_t* rows = catalog.scope_rows_.get();
-  double* devs = catalog.scope_devs_.get();
-  double* weights = catalog.scope_weights_.get();
   std::vector<uint32_t>& offsets = catalog.scope_row_offsets_;
   offsets.push_back(0);
   std::vector<uint32_t> cursor;
@@ -113,8 +108,7 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
     // ascending, so every list is ascending) while turning local ids into
     // FactIds. Then, per fact in CSR order, accumulate the scope weight and
     // weighted sum -- the order a row-by-row scan adds them in, so the
-    // typical value keeps its exact bits -- and write the SoA tables
-    // sequentially.
+    // typical value keeps its exact bits.
     for (size_t r = 0; r < num_rows; ++r) {
       FactId& id = group.row_fact[r];
       rows[cursor[id]++] = static_cast<uint32_t>(r);
@@ -127,14 +121,10 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
       double sum = 0.0;
       for (uint32_t k = begin; k < end; ++k) {
         double w = instance.weight[rows[k]];
-        double target = instance.target[rows[k]];
         scope_weight += w;
-        sum += target * w;
-        weights[k] = w;
-        devs[k] = target;
+        sum += instance.target[rows[k]] * w;
       }
       double value = scope_weight > 0.0 ? sum / scope_weight : 0.0;
-      for (uint32_t k = begin; k < end; ++k) devs[k] = std::fabs(value - devs[k]);
       catalog.facts_[id].value = value;
       catalog.facts_[id].scope_weight = scope_weight;
     }

@@ -69,7 +69,7 @@ class FactCatalog {
   /// only). Pass 2 counting-sorts the row ids into the CSR lists, then walks
   /// every fact's list in ascending row order to accumulate its scope weight
   /// and typical value -- the order a row-by-row scan adds them in, so the
-  /// sums are bit-identical -- and writes the SoA tables sequentially.
+  /// sums are bit-identical.
   /// Returns Unsupported, before allocating anything, when
   /// num_groups * num_rows exceeds UINT32_MAX.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
@@ -122,32 +122,19 @@ class FactCatalog {
 
   /// Ascending instance rows within the scope of `id`, CSR-packed. Scope-local
   /// loops (ApplyFact, the initialization join) iterate these instead of
-  /// scanning the whole block.
+  /// scanning the whole block; the gain kernels (simd::Kernels::
+  /// gather_positive_gain and friends) gather each row's target and weight
+  /// from the instance and derive |value - target| on the fly, so the
+  /// catalog stores no per-entry deviation or weight.
+  ///
+  /// Every group partitions the rows, so the CSR lists hold exactly
+  /// num_groups * num_rows entries at 8 B each: a uint32 row here plus the
+  /// row's uint32 row_fact entry in its group's scope join -- the same shape
+  /// as the joins, never quadratic. Build rejects instances whose entry
+  /// count does not fit the uint32 CSR offsets.
   std::span<const uint32_t> ScopeRows(FactId id) const {
     return {scope_rows_.get() + scope_row_offsets_[id],
             scope_rows_.get() + scope_row_offsets_[id + 1]};
-  }
-
-  /// SoA block-delta tables aligned entry-for-entry with ScopeRows(id): the
-  /// fact's absolute deviation |value - target[row]| and the row's weight,
-  /// precomputed once per catalog. The SIMD gain kernels
-  /// (simd::Kernels::gather_positive_gain and friends) stream these two
-  /// contiguous arrays and only gather the one per-row column that actually
-  /// changes between calls (prior/current deviation), instead of re-deriving
-  /// |value - target| row by row inside every join.
-  ///
-  /// Every group partitions the rows, so ScopeRows/ScopeDevs/ScopeWeights
-  /// hold exactly num_groups * num_rows entries at 20 B each (a uint32 row
-  /// and two doubles), plus the 4 B per entry of the groups' row_fact scope
-  /// joins -- the same shape as the joins, never quadratic. Build rejects
-  /// instances whose entry count does not fit the uint32 CSR offsets.
-  std::span<const double> ScopeDevs(FactId id) const {
-    return {scope_devs_.get() + scope_row_offsets_[id],
-            scope_devs_.get() + scope_row_offsets_[id + 1]};
-  }
-  std::span<const double> ScopeWeights(FactId id) const {
-    return {scope_weights_.get() + scope_row_offsets_[id],
-            scope_weights_.get() + scope_row_offsets_[id + 1]};
   }
 
   /// Decodes a fact's scope as (dimension name, value string) pairs, using
@@ -162,13 +149,10 @@ class FactCatalog {
   std::vector<FactGroup> groups_;
   std::vector<Fact> facts_;
   std::unordered_map<uint32_t, uint32_t> mask_to_group_;
-  /// Per-fact row membership as CSR row lists with their SoA companions
-  /// (see ScopeRows/ScopeDevs/ScopeWeights). Build writes every entry exactly
-  /// once, so the arrays are allocated uninitialized.
+  /// Per-fact row membership as CSR row lists (see ScopeRows). Build writes
+  /// every entry exactly once, so the array is allocated uninitialized.
   std::vector<uint32_t> scope_row_offsets_;
   std::unique_ptr<uint32_t[]> scope_rows_;
-  std::unique_ptr<double[]> scope_devs_;
-  std::unique_ptr<double[]> scope_weights_;
   /// The flat num_facts x scope_words_ bitset, filled by the first
   /// ScopeBits() call. Held by pointer so the catalog stays movable.
   struct LazyScopeBits {

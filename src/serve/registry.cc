@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "serve/answer.h"
@@ -21,6 +22,20 @@ Result<std::string> ReadFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// The pool AddDataset pre-processes on when its options name none: one for
+/// every registry, since the calling thread solves problems too and
+/// cores - 1 workers fill the host; nullptr on a single core. Never
+/// destroyed, like ScanPool() (an AddDataset may still run on it while
+/// static destructors do), and kept apart from ScanPool(): the solves'
+/// filters fan out on that pool and wait for it.
+ThreadPool* SharedPreprocessPool() {
+  static ThreadPool* pool = []() -> ThreadPool* {
+    unsigned cores = std::thread::hardware_concurrency();
+    return cores > 1 ? new ThreadPool(cores - 1) : nullptr;
+  }();
+  return pool;
 }
 
 }  // namespace
@@ -93,8 +108,10 @@ Status DatasetRegistry::AddDataset(const std::string& name, Table table,
   entry->name = name;
   entry->table = std::make_unique<Table>(std::move(table));
   entry->policy = std::move(policy);
+  PreprocessOptions preprocess = options;
+  if (preprocess.pool == nullptr) preprocess.pool = SharedPreprocessPool();
   auto built =
-      VoiceQueryEngine::Build(entry->table.get(), std::move(config), options);
+      VoiceQueryEngine::Build(entry->table.get(), std::move(config), preprocess);
   if (!built.ok()) return built.status();
   entry->engine = std::make_unique<VoiceQueryEngine>(std::move(built).value());
   // Pre-publication setup (synonyms etc.): the entry is not yet visible to
@@ -116,6 +133,10 @@ Status DatasetRegistry::AddDataset(const std::string& name, Table table,
   metrics_->GetCounter("vq_registry_adds_total")->Increment();
   add_hist_->Record(watch.ElapsedSeconds());
   return Status::OK();
+}
+
+ThreadPool* DatasetRegistry::PreprocessPoolForTesting() {
+  return SharedPreprocessPool();
 }
 
 Status DatasetRegistry::PublishEntry(std::shared_ptr<DatasetEntry> entry) {

@@ -32,16 +32,9 @@ TableIndex TableIndex::Build(const Table& table) {
     index.shards_[s].ordinal_ = static_cast<uint32_t>(s);
   };
   // Shard builds are independent single-writer jobs: fan them out on the
-  // scan pool at paper scale. Sequential fallback when the build is already
-  // running ON a scan-pool worker (a nested fan-out would deadlock a
-  // saturated pool) or when parallelism cannot help.
-  ThreadPool& pool = ScanPool();
-  if (num_shards > 1 && pool.NumThreads() > 1 &&
-      pool.CurrentWorkerIndex() == ThreadPool::kNotAWorker) {
-    ParallelFor(&pool, num_shards, build_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) build_shard(s);
-  }
+  // scan pool at paper scale. The calling thread builds shards too, so a
+  // build already running on a scan-pool worker cannot deadlock the pool.
+  ParallelFor(&ScanPool(), num_shards, build_shard);
 
   // Merge the per-shard aggregates so table-level Count/TargetSum stay O(1).
   index.merged_counts_.resize(num_dims);

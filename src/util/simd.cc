@@ -62,42 +62,38 @@ double WeightedAbsDevScalar(double center, const double* values,
   return sum;
 }
 
-double PositiveGainScalar(const double* current, const double* devs,
-                          const double* weights, size_t n) {
+double GatherWeightedSumScalar(const double* dense, const uint32_t* rows,
+                               const double* target_weight, size_t n) {
   double sum = 0.0;
   for (size_t k = 0; k < n; ++k) {
-    double gain = current[k] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
+    size_t r = rows[k];
+    sum += dense[r] * target_weight[2 * r + 1];
   }
-  return sum;
-}
-
-double GatherWeightedSumScalar(const double* dense, const uint32_t* rows,
-                               const double* weights, size_t n) {
-  double sum = 0.0;
-  for (size_t k = 0; k < n; ++k) sum += dense[rows[k]] * weights[k];
   return sum;
 }
 
 double GatherPositiveGainScalar(const double* dense, const uint32_t* rows,
-                                const double* devs, const double* weights,
+                                const double* target_weight, double value,
                                 size_t n) {
   double sum = 0.0;
   for (size_t k = 0; k < n; ++k) {
-    double gain = dense[rows[k]] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
+    size_t r = rows[k];
+    double gain = dense[r] - std::fabs(value - target_weight[2 * r]);
+    if (gain > 0.0) sum += gain * target_weight[2 * r + 1];
   }
   return sum;
 }
 
-double MinUpdateScalar(double* dense, const uint32_t* rows, const double* devs,
-                       const double* weights, size_t n) {
+double MinUpdateScalar(double* dense, const uint32_t* rows,
+                       const double* target_weight, double value, size_t n) {
   double reduction = 0.0;
   for (size_t k = 0; k < n; ++k) {
-    double current = dense[rows[k]];
-    if (devs[k] < current) {
-      reduction += (current - devs[k]) * weights[k];
-      dense[rows[k]] = devs[k];
+    size_t r = rows[k];
+    double current = dense[r];
+    double dev = std::fabs(value - target_weight[2 * r]);
+    if (dev < current) {
+      reduction += (current - dev) * target_weight[2 * r + 1];
+      dense[r] = dev;
     }
   }
   return reduction;
@@ -111,14 +107,13 @@ size_t ArgMaxScalar(const double* values, size_t n) {
   return best;
 }
 
-double MaskedSingleFactScalar(double value, const double* targets,
-                              const double* weights,
+double MaskedSingleFactScalar(double value, const double* target_weight,
                               const double* prior_dev_weighted, uint64_t mask) {
   double sum = 0.0;
   while (mask != 0) {
     int i = std::countr_zero(mask);
     mask &= mask - 1;
-    double fact_dev = std::fabs(value - targets[i]) * weights[i];
+    double fact_dev = std::fabs(value - target_weight[2 * i]) * target_weight[2 * i + 1];
     sum += fact_dev < prior_dev_weighted[i] ? fact_dev : prior_dev_weighted[i];
   }
   return sum;
@@ -127,7 +122,7 @@ double MaskedSingleFactScalar(double value, const double* targets,
 const Kernels kScalarKernels = {
     "scalar",           OrPopcountScalar,     MaskedSum64Scalar,
     MaskedSingleFactScalar,
-    WeightedSumScalar,  WeightedAbsDevScalar, PositiveGainScalar,
+    WeightedSumScalar,  WeightedAbsDevScalar,
     GatherWeightedSumScalar, GatherPositiveGainScalar,
     MinUpdateScalar,    ArgMaxScalar,
 };
@@ -158,6 +153,31 @@ VQ_AVX2 inline __m256d Abs(__m256d v) {
 VQ_AVX2 inline __m256d Gather4(const double* base, __m128i idx) {
   const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
   return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx, all, 8);
+}
+
+/// One row's (target, weight) pair from the interleaved column: a single
+/// 16-byte load, so both values come from one cache line. The gather
+/// kernels gather only the dense column and assemble target and weight
+/// from these loads: on the Sapphire Rapids host bench/simd_kernels.cpp
+/// was recorded on, two more gathers per vector (one for target, one for
+/// weight) made the G-O solve about 1.8x slower than this.
+/// Baseline SSE2, so it inlines into both the avx2 and the avx512 kernels
+/// (a target attribute of its own would block inlining into the other).
+inline __m128d LoadPair(const double* target_weight, uint32_t row) {
+  return _mm_loadu_pd(target_weight + 2 * static_cast<size_t>(row));
+}
+
+/// The pairs of rows[0..3], split into a target and a weight vector. With
+/// the pairs of rows 0 and 2 in one register and those of rows 1 and 3 in
+/// the other, the in-lane unpacks already yield rows 0..3 in order.
+VQ_AVX2 inline void LoadPairs4(const double* target_weight, const uint32_t* rows,
+                               __m256d* target, __m256d* weight) {
+  __m256d even = _mm256_set_m128d(LoadPair(target_weight, rows[2]),
+                                  LoadPair(target_weight, rows[0]));
+  __m256d odd = _mm256_set_m128d(LoadPair(target_weight, rows[3]),
+                                 LoadPair(target_weight, rows[1]));
+  *target = _mm256_unpacklo_pd(even, odd);
+  *weight = _mm256_unpackhi_pd(even, odd);
 }
 
 VQ_AVX2 uint64_t OrPopcountAvx2(const uint64_t* const* sets, size_t num_sets,
@@ -248,85 +268,63 @@ VQ_AVX2 double WeightedAbsDevAvx2(double center, const double* values,
   return sum;
 }
 
-VQ_AVX2 double PositiveGainAvx2(const double* current, const double* devs,
-                                const double* weights, size_t n) {
-  const __m256d zero = _mm256_setzero_pd();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m256d g0 = _mm256_max_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(current + k), _mm256_loadu_pd(devs + k)),
-        zero);
-    __m256d g1 = _mm256_max_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(current + k + 4),
-                      _mm256_loadu_pd(devs + k + 4)),
-        zero);
-    acc0 = _mm256_fmadd_pd(g0, _mm256_loadu_pd(weights + k), acc0);
-    acc1 = _mm256_fmadd_pd(g1, _mm256_loadu_pd(weights + k + 4), acc1);
-  }
-  for (; k + 4 <= n; k += 4) {
-    __m256d gain = _mm256_max_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(current + k), _mm256_loadu_pd(devs + k)),
-        zero);
-    acc0 = _mm256_fmadd_pd(gain, _mm256_loadu_pd(weights + k), acc0);
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; k < n; ++k) {
-    double gain = current[k] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
-  }
-  return sum;
-}
-
 VQ_AVX2 double GatherWeightedSumAvx2(const double* dense, const uint32_t* rows,
-                                     const double* weights, size_t n) {
+                                     const double* target_weight, size_t n) {
   __m256d acc = _mm256_setzero_pd();
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
     __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + k));
-    __m256d gathered = Gather4(dense, idx);
-    acc = _mm256_fmadd_pd(gathered, _mm256_loadu_pd(weights + k), acc);
+    __m256d target, weight;
+    LoadPairs4(target_weight, rows + k, &target, &weight);
+    acc = _mm256_fmadd_pd(Gather4(dense, idx), weight, acc);
   }
   double sum = HorizontalSum(acc);
-  for (; k < n; ++k) sum += dense[rows[k]] * weights[k];
+  for (; k < n; ++k) {
+    size_t r = rows[k];
+    sum += dense[r] * target_weight[2 * r + 1];
+  }
   return sum;
 }
 
 VQ_AVX2 double GatherPositiveGainAvx2(const double* dense, const uint32_t* rows,
-                                      const double* devs, const double* weights,
+                                      const double* target_weight, double value,
                                       size_t n) {
   const __m256d zero = _mm256_setzero_pd();
+  const __m256d vvalue = _mm256_set1_pd(value);
   __m256d acc = _mm256_setzero_pd();
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
     __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + k));
-    __m256d gathered = Gather4(dense, idx);
-    __m256d gain = _mm256_sub_pd(gathered, _mm256_loadu_pd(devs + k));
+    __m256d target, weight;
+    LoadPairs4(target_weight, rows + k, &target, &weight);
+    __m256d dev = Abs(_mm256_sub_pd(vvalue, target));
+    __m256d gain = _mm256_sub_pd(Gather4(dense, idx), dev);
     gain = _mm256_max_pd(gain, zero);  // branchless max(0, gain)
-    acc = _mm256_fmadd_pd(gain, _mm256_loadu_pd(weights + k), acc);
+    acc = _mm256_fmadd_pd(gain, weight, acc);
   }
   double sum = HorizontalSum(acc);
   for (; k < n; ++k) {
-    double gain = dense[rows[k]] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
+    size_t r = rows[k];
+    double gain = dense[r] - std::fabs(value - target_weight[2 * r]);
+    if (gain > 0.0) sum += gain * target_weight[2 * r + 1];
   }
   return sum;
 }
 
 VQ_AVX2 double MinUpdateAvx2(double* dense, const uint32_t* rows,
-                             const double* devs, const double* weights,
-                             size_t n) {
+                             const double* target_weight, double value, size_t n) {
+  const __m256d vvalue = _mm256_set1_pd(value);
   __m256d acc = _mm256_setzero_pd();
   size_t k = 0;
   for (; k + 4 <= n; k += 4) {
     __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + k));
+    __m256d target, weight;
+    LoadPairs4(target_weight, rows + k, &target, &weight);
     __m256d current = Gather4(dense, idx);
-    __m256d dv = _mm256_loadu_pd(devs + k);
+    __m256d dv = Abs(_mm256_sub_pd(vvalue, target));
     __m256d lowered = _mm256_cmp_pd(dv, current, _CMP_LT_OQ);
     __m256d delta = _mm256_and_pd(
-        lowered, _mm256_mul_pd(_mm256_sub_pd(current, dv),
-                               _mm256_loadu_pd(weights + k)));
+        lowered, _mm256_mul_pd(_mm256_sub_pd(current, dv), weight));
     acc = _mm256_add_pd(acc, delta);
     // AVX2 has no scatter: store the blended minima lane by lane. The CSR
     // row lists hold distinct indices, so the gather above never observes a
@@ -340,17 +338,18 @@ VQ_AVX2 double MinUpdateAvx2(double* dense, const uint32_t* rows,
   }
   double reduction = HorizontalSum(acc);
   for (; k < n; ++k) {
-    double current = dense[rows[k]];
-    if (devs[k] < current) {
-      reduction += (current - devs[k]) * weights[k];
-      dense[rows[k]] = devs[k];
+    size_t r = rows[k];
+    double current = dense[r];
+    double dev = std::fabs(value - target_weight[2 * r]);
+    if (dev < current) {
+      reduction += (current - dev) * target_weight[2 * r + 1];
+      dense[r] = dev;
     }
   }
   return reduction;
 }
 
-VQ_AVX2 double MaskedSingleFactAvx2(double value, const double* targets,
-                                    const double* weights,
+VQ_AVX2 double MaskedSingleFactAvx2(double value, const double* target_weight,
                                     const double* prior_dev_weighted,
                                     uint64_t mask) {
   if (mask == 0) return 0.0;
@@ -367,9 +366,13 @@ VQ_AVX2 double MaskedSingleFactAvx2(double value, const double* targets,
     __m256i sel = _mm256_and_si256(
         _mm256_set1_epi64x(static_cast<long long>(nibble)), kBitSelect);
     __m256d lane_mask = _mm256_castsi256_pd(_mm256_cmpeq_epi64(sel, kBitSelect));
-    __m256d fact_dev = _mm256_mul_pd(
-        Abs(_mm256_sub_pd(vvalue, _mm256_loadu_pd(targets + i))),
-        _mm256_loadu_pd(weights + i));
+    // Rows i..i+3 as pairs: the unpacks yield rows i, i+2, i+1, i+3 and the
+    // permute restores row order, so each lane keeps its row.
+    __m256d lo = _mm256_loadu_pd(target_weight + 2 * i);
+    __m256d hi = _mm256_loadu_pd(target_weight + 2 * i + 4);
+    __m256d target = _mm256_permute4x64_pd(_mm256_unpacklo_pd(lo, hi), 0xD8);
+    __m256d weight = _mm256_permute4x64_pd(_mm256_unpackhi_pd(lo, hi), 0xD8);
+    __m256d fact_dev = _mm256_mul_pd(Abs(_mm256_sub_pd(vvalue, target)), weight);
     __m256d contrib =
         _mm256_min_pd(fact_dev, _mm256_loadu_pd(prior_dev_weighted + i));
     acc = _mm256_add_pd(acc, _mm256_and_pd(lane_mask, contrib));
@@ -419,7 +422,7 @@ VQ_AVX2 size_t ArgMaxAvx2(const double* values, size_t n) {
 const Kernels kAvx2Kernels = {
     "avx2",            OrPopcountAvx2,     MaskedSum64Avx2,
     MaskedSingleFactAvx2,
-    WeightedSumAvx2,   WeightedAbsDevAvx2, PositiveGainAvx2,
+    WeightedSumAvx2,   WeightedAbsDevAvx2,
     GatherWeightedSumAvx2, GatherPositiveGainAvx2,
     MinUpdateAvx2,     ArgMaxAvx2,
 };
@@ -431,16 +434,17 @@ const Kernels kAvx2Kernels = {
 // popcnt); everything below sticks to the F foundation subset -- 512-bit
 // floating-point AND/ANDNOT (a DQ extension) is spelled through the epi64
 // forms, and no VL compactions are used. The big structural win over avx2:
-// fault-suppressing masked loads (_mm512_maskz_loadu_pd) make every tail and
-// bitset mask a first-class lane mask, so these kernels never read past the
-// live data -- no scalar tail loops, and no caller-side padding requirement.
+// fault-suppressing masked loads (_mm512_maskz_loadu_pd) make tails and
+// bitset masks first-class lane masks, so these kernels read only live data
+// -- except masked_single_fact, which loads its block's (target, weight)
+// pairs whole and relies on the caller's block padding.
 #if VQ_SIMD_X86
 
 // GCC's avx512fintrin.h builds even plain intrinsics (_mm512_max_pd, the
 // gathers, the reduce helpers) on _mm512_undefined_pd(), which
-// -W(maybe-)uninitialized flags once they inline into user code. The
-// Gather4-style explicit-zero workaround used for avx2 cannot cover them
-// all, so the whole section silences just those two warnings.
+// -W(maybe-)uninitialized flags once they inline into user code. An
+// explicit zero pass-through operand cannot cover them all, so the whole
+// section silences just those two warnings.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -459,17 +463,39 @@ VQ_AVX512 inline __mmask8 TailMask(size_t rem) {
   return static_cast<__mmask8>((1u << rem) - 1u);
 }
 
-/// Masked gather with the index tail staged through a zeroed stack buffer:
-/// loading 8 indices when only `rem` are live would read past the row list,
-/// and AVX-512F has no maskz 256-bit integer load (that is VL). The gather
-/// itself is masked, so the zero-filled index lanes are never dereferenced.
-VQ_AVX512 inline __m512d GatherTail(const double* base, const uint32_t* rows,
-                                    size_t rem, __mmask8 m) {
-  alignas(32) uint32_t idx[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (size_t k = 0; k < rem; ++k) idx[k] = rows[k];
-  return _mm512_mask_i32gather_pd(
-      _mm512_setzero_pd(), m,
-      _mm256_load_si256(reinterpret_cast<const __m256i*>(idx)), base, 8);
+/// The last `rem` (< 8) row indices of a row list, staged into `staged`
+/// with the lanes past `rem` reading row 0: loading 8 indices when only
+/// `rem` are live would read past the row list, and AVX-512F has no maskz
+/// 256-bit integer load (that is VL). Row 0 exists whenever the list is
+/// non-empty, so the pair loads over `staged` stay in bounds; callers mask
+/// those lanes out with TailMask(rem), and gathers over it are masked.
+VQ_AVX512 inline void StageTail(const uint32_t* rows, size_t rem, uint32_t staged[8]) {
+  for (size_t k = 0; k < 8; ++k) staged[k] = 0;
+  for (size_t k = 0; k < rem; ++k) staged[k] = rows[k];
+}
+
+/// Masked gather of base[idx[i]] for the lanes set in `m`; other lanes 0.
+VQ_AVX512 inline __m512d MaskGather(const double* base, __m256i idx, __mmask8 m) {
+  return _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx, base, 8);
+}
+
+/// The (target, weight) pairs of rows[0..7] split into a target and a
+/// weight vector, as LoadPairs4: even rows' pairs in one register, odd
+/// rows' in the other, so the in-lane unpacks yield rows 0..7 in order.
+VQ_AVX512 inline void LoadPairs8(const double* target_weight, const uint32_t* rows,
+                                 __m512d* target, __m512d* weight) {
+  __m256d even_lo = _mm256_set_m128d(LoadPair(target_weight, rows[2]),
+                                     LoadPair(target_weight, rows[0]));
+  __m256d even_hi = _mm256_set_m128d(LoadPair(target_weight, rows[6]),
+                                     LoadPair(target_weight, rows[4]));
+  __m256d odd_lo = _mm256_set_m128d(LoadPair(target_weight, rows[3]),
+                                    LoadPair(target_weight, rows[1]));
+  __m256d odd_hi = _mm256_set_m128d(LoadPair(target_weight, rows[7]),
+                                    LoadPair(target_weight, rows[5]));
+  __m512d even = _mm512_insertf64x4(_mm512_castpd256_pd512(even_lo), even_hi, 1);
+  __m512d odd = _mm512_insertf64x4(_mm512_castpd256_pd512(odd_lo), odd_hi, 1);
+  *target = _mm512_unpacklo_pd(even, odd);
+  *weight = _mm512_unpackhi_pd(even, odd);
 }
 
 VQ_AVX512 uint64_t OrPopcountAvx512(const uint64_t* const* sets, size_t num_sets,
@@ -510,21 +536,26 @@ VQ_AVX512 double MaskedSum64Avx512(const double* block, uint64_t mask) {
   return _mm512_reduce_add_pd(acc);
 }
 
-VQ_AVX512 double MaskedSingleFactAvx512(double value, const double* targets,
-                                        const double* weights,
+VQ_AVX512 double MaskedSingleFactAvx512(double value, const double* target_weight,
                                         const double* prior_dev_weighted,
                                         uint64_t mask) {
   if (mask == 0) return 0.0;
   const __m512d vvalue = _mm512_set1_pd(value);
+  const __m512i kEven = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i kOdd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
   __m512d acc = _mm512_setzero_pd();
   for (int i = 0; i < 64; i += 8) {
     __mmask8 m = static_cast<__mmask8>((mask >> i) & 0xFF);
     if (m == 0) continue;
-    __m512d fact_dev = _mm512_mul_pd(
-        Abs512(_mm512_sub_pd(vvalue, _mm512_maskz_loadu_pd(m, targets + i))),
-        _mm512_maskz_loadu_pd(m, weights + i));
-    // maskz min: unselected lanes contribute exactly 0 regardless of what
-    // the (zeroed) masked loads produced above.
+    // Rows i..i+7 as pairs, split into targets and weights in row order.
+    // Whole pairs are loaded, so this kernel relies on the block padding.
+    __m512d lo = _mm512_loadu_pd(target_weight + 2 * i);
+    __m512d hi = _mm512_loadu_pd(target_weight + 2 * i + 8);
+    __m512d fact_dev =
+        _mm512_mul_pd(Abs512(_mm512_sub_pd(vvalue, _mm512_permutex2var_pd(lo, kEven, hi))),
+                      _mm512_permutex2var_pd(lo, kOdd, hi));
+    // maskz min: unselected lanes contribute exactly 0 whatever their
+    // loaded pairs produced above.
     acc = _mm512_add_pd(
         acc, _mm512_maskz_min_pd(
                  m, fact_dev, _mm512_maskz_loadu_pd(m, prior_dev_weighted + i)));
@@ -581,85 +612,77 @@ VQ_AVX512 double WeightedAbsDevAvx512(double center, const double* values,
   return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
 }
 
-VQ_AVX512 double PositiveGainAvx512(const double* current, const double* devs,
-                                    const double* weights, size_t n) {
-  const __m512d zero = _mm512_setzero_pd();
-  __m512d acc = _mm512_setzero_pd();
-  size_t k = 0;
-  for (; k + 8 <= n; k += 8) {
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_loadu_pd(current + k), _mm512_loadu_pd(devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_loadu_pd(weights + k), acc);
-  }
-  if (k < n) {
-    __mmask8 m = TailMask(n - k);
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_maskz_loadu_pd(m, current + k),
-                      _mm512_maskz_loadu_pd(m, devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_maskz_loadu_pd(m, weights + k), acc);
-  }
-  return _mm512_reduce_add_pd(acc);
-}
-
 VQ_AVX512 double GatherWeightedSumAvx512(const double* dense,
                                          const uint32_t* rows,
-                                         const double* weights, size_t n) {
+                                         const double* target_weight, size_t n) {
   __m512d acc = _mm512_setzero_pd();
   size_t k = 0;
+  __m512d target, weight;
   for (; k + 8 <= n; k += 8) {
     __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
-    acc = _mm512_fmadd_pd(_mm512_i32gather_pd(idx, dense, 8),
-                          _mm512_loadu_pd(weights + k), acc);
+    LoadPairs8(target_weight, rows + k, &target, &weight);
+    acc = _mm512_fmadd_pd(_mm512_i32gather_pd(idx, dense, 8), weight, acc);
   }
   if (k < n) {
     __mmask8 m = TailMask(n - k);
-    acc = _mm512_fmadd_pd(GatherTail(dense, rows + k, n - k, m),
-                          _mm512_maskz_loadu_pd(m, weights + k), acc);
+    alignas(32) uint32_t staged[8];
+    StageTail(rows + k, n - k, staged);
+    __m256i idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(staged));
+    LoadPairs8(target_weight, staged, &target, &weight);
+    acc = _mm512_fmadd_pd(MaskGather(dense, idx, m), _mm512_maskz_mov_pd(m, weight),
+                          acc);
   }
   return _mm512_reduce_add_pd(acc);
 }
 
 VQ_AVX512 double GatherPositiveGainAvx512(const double* dense,
                                           const uint32_t* rows,
-                                          const double* devs,
-                                          const double* weights, size_t n) {
+                                          const double* target_weight,
+                                          double value, size_t n) {
   const __m512d zero = _mm512_setzero_pd();
+  const __m512d vvalue = _mm512_set1_pd(value);
   __m512d acc = _mm512_setzero_pd();
   size_t k = 0;
+  __m512d target, weight;
   for (; k + 8 <= n; k += 8) {
     __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(_mm512_i32gather_pd(idx, dense, 8),
-                      _mm512_loadu_pd(devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_loadu_pd(weights + k), acc);
+    LoadPairs8(target_weight, rows + k, &target, &weight);
+    __m512d dev = Abs512(_mm512_sub_pd(vvalue, target));
+    __m512d gain =
+        _mm512_max_pd(_mm512_sub_pd(_mm512_i32gather_pd(idx, dense, 8), dev), zero);
+    acc = _mm512_fmadd_pd(gain, weight, acc);
   }
   if (k < n) {
     __mmask8 m = TailMask(n - k);
-    __m512d gain = _mm512_max_pd(
-        _mm512_sub_pd(GatherTail(dense, rows + k, n - k, m),
-                      _mm512_maskz_loadu_pd(m, devs + k)),
-        zero);
-    acc = _mm512_fmadd_pd(gain, _mm512_maskz_loadu_pd(m, weights + k), acc);
+    alignas(32) uint32_t staged[8];
+    StageTail(rows + k, n - k, staged);
+    __m256i idx = _mm256_load_si256(reinterpret_cast<const __m256i*>(staged));
+    LoadPairs8(target_weight, staged, &target, &weight);
+    // Unselected lanes get a gain of 0 and a weight of 0, so they add
+    // exactly +0.
+    __m512d dev = Abs512(_mm512_sub_pd(vvalue, target));
+    __m512d gain =
+        _mm512_maskz_max_pd(m, _mm512_sub_pd(MaskGather(dense, idx, m), dev), zero);
+    acc = _mm512_fmadd_pd(gain, _mm512_maskz_mov_pd(m, weight), acc);
   }
   return _mm512_reduce_add_pd(acc);
 }
 
 VQ_AVX512 double MinUpdateAvx512(double* dense, const uint32_t* rows,
-                                 const double* devs, const double* weights,
+                                 const double* target_weight, double value,
                                  size_t n) {
+  const __m512d vvalue = _mm512_set1_pd(value);
   __m512d acc = _mm512_setzero_pd();
   size_t k = 0;
   for (; k + 8 <= n; k += 8) {
     __m256i idx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + k));
+    __m512d target, weight;
+    LoadPairs8(target_weight, rows + k, &target, &weight);
     __m512d current = _mm512_i32gather_pd(idx, dense, 8);
-    __m512d dv = _mm512_loadu_pd(devs + k);
+    __m512d dv = Abs512(_mm512_sub_pd(vvalue, target));
     __mmask8 lowered = _mm512_cmp_pd_mask(dv, current, _CMP_LT_OQ);
     acc = _mm512_add_pd(
-        acc, _mm512_maskz_mul_pd(lowered, _mm512_sub_pd(current, dv),
-                                 _mm512_loadu_pd(weights + k)));
+        acc, _mm512_maskz_mul_pd(lowered, _mm512_sub_pd(current, dv), weight));
     // Real scatter (unlike avx2's lane-by-lane stores), masked to the
     // lowered rows. Distinct CSR indices: the gather above never observes a
     // row this batch also writes.
@@ -667,10 +690,12 @@ VQ_AVX512 double MinUpdateAvx512(double* dense, const uint32_t* rows,
   }
   double reduction = _mm512_reduce_add_pd(acc);
   for (; k < n; ++k) {
-    double current = dense[rows[k]];
-    if (devs[k] < current) {
-      reduction += (current - devs[k]) * weights[k];
-      dense[rows[k]] = devs[k];
+    size_t r = rows[k];
+    double current = dense[r];
+    double dev = std::fabs(value - target_weight[2 * r]);
+    if (dev < current) {
+      reduction += (current - dev) * target_weight[2 * r + 1];
+      dense[r] = dev;
     }
   }
   return reduction;
@@ -719,7 +744,7 @@ VQ_AVX512 size_t ArgMaxAvx512(const double* values, size_t n) {
 const Kernels kAvx512Kernels = {
     "avx512",            OrPopcountAvx512,     MaskedSum64Avx512,
     MaskedSingleFactAvx512,
-    WeightedSumAvx512,   WeightedAbsDevAvx512, PositiveGainAvx512,
+    WeightedSumAvx512,   WeightedAbsDevAvx512,
     GatherWeightedSumAvx512, GatherPositiveGainAvx512,
     MinUpdateAvx512,     ArgMaxAvx512,
 };
@@ -790,24 +815,6 @@ double WeightedSumNeon(const double* values, const double* weights, size_t n) {
   return sum;
 }
 
-double PositiveGainNeon(const double* current, const double* devs,
-                        const double* weights, size_t n) {
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  float64x2_t acc = vdupq_n_f64(0.0);
-  size_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    float64x2_t gain =
-        vmaxq_f64(vsubq_f64(vld1q_f64(current + k), vld1q_f64(devs + k)), zero);
-    acc = vfmaq_f64(acc, gain, vld1q_f64(weights + k));
-  }
-  double sum = vaddvq_f64(acc);
-  for (; k < n; ++k) {
-    double gain = current[k] - devs[k];
-    if (gain > 0.0) sum += gain * weights[k];
-  }
-  return sum;
-}
-
 double WeightedAbsDevNeon(double center, const double* values,
                           const double* weights, size_t n) {
   const float64x2_t vcenter = vdupq_n_f64(center);
@@ -825,7 +832,7 @@ double WeightedAbsDevNeon(double center, const double* values,
 const Kernels kNeonKernels = {
     "neon",            OrPopcountNeon,     MaskedSum64Neon,
     MaskedSingleFactScalar,
-    WeightedSumNeon,   WeightedAbsDevNeon, PositiveGainNeon,
+    WeightedSumNeon,   WeightedAbsDevNeon,
     GatherWeightedSumScalar, GatherPositiveGainScalar,
     MinUpdateScalar,   ArgMaxScalar,
 };

@@ -14,9 +14,10 @@
 //              per-function target attributes so the library itself still
 //              builds for a generic x86-64 baseline (VQ_MARCH_NATIVE off).
 //   avx512  -- x86-64 AVX-512F eight-lane kernels. Fault-suppressing masked
-//              loads handle every tail and bitset mask directly, so unlike
-//              avx2 these kernels never read past the live data (see the
-//              masked_sum64 padding note below).
+//              loads handle tails and bitset masks directly; of these
+//              kernels only masked_single_fact, which loads its block's
+//              (target, weight) pairs whole, reads past the selected lanes
+//              (see the masked_sum64 padding note below).
 //   neon    -- aarch64 two-lane kernels for the dense reductions (the
 //              gather-shaped kernels reuse the scalar loops: NEON has no
 //              gather, and the fused compute dominates only on x86).
@@ -68,14 +69,15 @@ struct Kernels {
   /// the kClosest model (Definition 4 with exactly one in-scope fact): for
   /// each set bit i, the listener picks `value` or the prior, whichever lies
   /// closer to the actual target -- so the row's weighted error is
-  /// min(|value - targets[i]| * weights[i], prior_dev_weighted[i]). Returns
-  /// the sum over the set bits. Padding contract as masked_sum64 (targets,
-  /// weights and prior_dev_weighted are block-padded arrays; padding lanes
-  /// carry 0.0). The min over weighted deviations selects the same value the
-  /// scalar argmin over unweighted deviations does: weights are >= 0 and
-  /// rounding is monotone, so the order of the weighted pair never flips.
-  double (*masked_single_fact)(double value, const double* targets,
-                               const double* weights,
+  /// min(|value - target[i]| * weight[i], prior_dev_weighted[i]), with
+  /// target[i] and weight[i] the block's interleaved pairs
+  /// target_weight[2i] and target_weight[2i + 1]. Returns the sum over the
+  /// set bits. Padding contract as masked_sum64 (target_weight and
+  /// prior_dev_weighted are block-padded arrays; padding lanes carry 0.0).
+  /// The min over weighted deviations selects the same value the scalar
+  /// argmin over unweighted deviations does: weights are >= 0 and rounding
+  /// is monotone, so the order of the weighted pair never flips.
+  double (*masked_single_fact)(double value, const double* target_weight,
                                const double* prior_dev_weighted, uint64_t mask);
 
   /// Dense dot product: sum over i of values[i] * weights[i].
@@ -87,31 +89,35 @@ struct Kernels {
   double (*weighted_abs_dev)(double center, const double* values,
                              const double* weights, size_t n);
 
-  /// The dense form of gather_positive_gain: sum over k of
-  /// max(0, current[k] - devs[k]) * weights[k], all three arrays aligned.
-  /// No caller in the library since the catalog stopped materializing a
-  /// per-entry prior-deviation column (the initialization join gathers it
-  /// instead); bench/simd_kernels.cpp still measures it.
-  double (*positive_gain)(const double* current, const double* devs,
-                          const double* weights, size_t n);
-
-  /// Gathered dot product over a CSR row list:
-  /// sum over k of dense[rows[k]] * weights[k].
+  /// The gather kernels below walk a fact's CSR scope rows and read each
+  /// row's target and weight from `target_weight`, the instance's rows as
+  /// interleaved pairs: target_weight[2r] = target[r], target_weight[2r+1]
+  /// = weight[r] (Evaluator::RowTargetWeights). One 16-byte pair per row
+  /// keeps both values on one cache line. Every table must return the bits
+  /// its former kernel over materialized per-entry |value - target| and
+  /// weight columns returned (tests/util/simd_test.cc keeps those kernels
+  /// as the reference).
+  ///
+  /// Gathered dot product: with r = rows[k], sum over k of dense[r] *
+  /// weight[r].
   double (*gather_weighted_sum)(const double* dense, const uint32_t* rows,
-                                const double* weights, size_t n);
+                                const double* target_weight, size_t n);
 
-  /// The utility-gain reduction (initialization join / greedy gain loops):
-  /// sum over k of max(0, dense[rows[k]] - devs[k]) * weights[k].
+  /// The utility-gain reduction (initialization join / greedy gain loops) of
+  /// a fact with typical value `value` over its CSR scope rows: with
+  /// r = rows[k], sum over k of max(0, dense[r] - |value - target[r]|) *
+  /// weight[r].
   double (*gather_positive_gain)(const double* dense, const uint32_t* rows,
-                                 const double* devs, const double* weights,
+                                 const double* target_weight, double value,
                                  size_t n);
 
-  /// In-place min update (GreedyState::ApplyFact): for each k with
-  /// devs[k] < dense[rows[k]], sets dense[rows[k]] = devs[k]; returns the
-  /// weighted error reduction sum((old - devs[k]) * weights[k]) over the
-  /// lowered rows. `rows` must hold distinct indices (CSR scope lists do).
+  /// In-place min update (GreedyState::ApplyFact): with r = rows[k] and
+  /// dev = |value - target[r]|, for each k with dev < dense[r] sets
+  /// dense[r] = dev; returns the weighted error reduction
+  /// sum((old - dev) * weight[r]) over the lowered rows. `rows` must hold
+  /// distinct indices (CSR scope lists do).
   double (*min_update)(double* dense, const uint32_t* rows,
-                       const double* devs, const double* weights, size_t n);
+                       const double* target_weight, double value, size_t n);
 
   /// Index of the maximum of values[0, n); the LOWEST index wins ties
   /// (matching the seed's strict `>` best-fact scan). Requires n > 0.

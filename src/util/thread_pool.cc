@@ -1,6 +1,7 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace vq {
 
@@ -137,38 +138,75 @@ ThreadPool& ScanPool() {
   return *pool;
 }
 
-void ParallelFor(ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  size_t num_threads = pool->NumThreads();
-  size_t num_chunks = std::min(count, num_threads * 4);
-  size_t chunk = (count + num_chunks - 1) / num_chunks;
-  std::atomic<size_t> next{0};
-  // Waits for this call's own chunks only: pool->Wait() would also block on
-  // unrelated tasks (an index build on ScanPool() behind serving scans, which
-  // under sustained traffic may never drain). The last chunk notifies while
-  // holding the mutex, so the waiter cannot destroy it before that chunk
-  // lets go.
-  struct Completion {
-    explicit Completion(size_t chunks) : remaining(chunks) {}
-    Mutex mutex;
-    CondVar done;
-    size_t remaining GUARDED_BY(mutex);
-  } completion(num_chunks);
-  for (size_t c = 0; c < num_chunks; ++c) {
-    pool->Submit([&next, count, chunk, &body, &completion] {
-      while (true) {
-        size_t begin = next.fetch_add(chunk);
-        if (begin >= count) break;
-        size_t end = std::min(begin + chunk, count);
-        for (size_t i = begin; i < end; ++i) body(i);
+namespace {
+
+/// The shared state of one ParallelFor call: its order, consumed from both
+/// ends. Held by shared_ptr from every task: a task the pool starts after
+/// ParallelFor returned (its workers were busy) finds the queue empty and
+/// never touches `body`, which lives on the caller's stack.
+struct TwoEndedQueue {
+  TwoEndedQueue(std::vector<size_t> order_in, const std::function<void(size_t)>* body_in)
+      : order(std::move(order_in)), body(body_in), back(order.size()) {}
+
+  /// Pool task: runs indices from the back until the queue is empty.
+  void RunBack() {
+    while (true) {
+      size_t index;
+      {
+        MutexLock lock(mutex);
+        if (front == back) return;
+        index = order[--back];
+        ++active;
       }
-      MutexLock lock(completion.mutex);
-      if (--completion.remaining == 0) completion.done.NotifyAll();
-    });
+      (*body)(index);
+      MutexLock lock(mutex);
+      if (--active == 0 && front == back) idle.NotifyAll();
+    }
   }
-  MutexLock lock(completion.mutex);
-  while (completion.remaining != 0) completion.done.Wait(completion.mutex);
+
+  /// The caller's share: runs indices from the front until the queue is
+  /// empty, then waits for the indices tasks have taken.
+  void RunFront() {
+    while (true) {
+      size_t index;
+      {
+        MutexLock lock(mutex);
+        if (front == back) break;
+        index = order[front++];
+      }
+      (*body)(index);
+    }
+    MutexLock lock(mutex);
+    while (active != 0) idle.Wait(mutex);
+  }
+
+  const std::vector<size_t> order;
+  const std::function<void(size_t)>* const body;
+  Mutex mutex;
+  CondVar idle;
+  /// order[front, back) is still queued.
+  size_t front GUARDED_BY(mutex) = 0;
+  size_t back GUARDED_BY(mutex);
+  /// Indices pool tasks are running right now.
+  size_t active GUARDED_BY(mutex) = 0;
+};
+
+}  // namespace
+
+void ParallelFor(ThreadPool* pool, size_t count,
+                 const std::function<void(size_t)>& body,
+                 std::vector<size_t> order) {
+  if (count == 0) return;
+  if (order.empty()) {
+    order.resize(count);
+    std::iota(order.begin(), order.end(), size_t{0});
+  }
+  auto queue = std::make_shared<TwoEndedQueue>(std::move(order), &body);
+  // The caller takes at least the first index, so one task fewer than
+  // indices suffices.
+  size_t tasks = std::min(pool->NumThreads(), count - 1);
+  for (size_t t = 0; t < tasks; ++t) pool->Submit([queue] { queue->RunBack(); });
+  queue->RunFront();
 }
 
 }  // namespace vq

@@ -100,11 +100,19 @@ class ThreadPool {
   bool shutting_down_ GUARDED_BY(mutex_) = false;
 };
 
-/// Runs `body(i)` for i in [0, count) across the pool, blocking until every
-/// index is done -- but not on other tasks the pool is running. Iteration
-/// order across threads is unspecified; bodies must be independent.
+/// Runs `body(i)` for every i in [0, count) on the calling thread and up to
+/// pool->NumThreads() tasks of `pool`, returning once every index is done.
+/// The indices are taken from `order` -- a permutation of [0, count), or
+/// 0, 1, ..., count - 1 when empty -- the caller from its front, the tasks
+/// from its back: a caller that orders its heaviest work first keeps that
+/// work on its own thread. The caller waits only for indices a task has
+/// started, never for queued tasks, so it neither waits on other work the
+/// pool is running nor deadlocks when it runs on a worker of `pool` itself
+/// (it then does every index the busy workers do not take). Bodies must be
+/// independent.
 void ParallelFor(ThreadPool* pool, size_t count,
-                 const std::function<void(size_t)>& body);
+                 const std::function<void(size_t)>& body,
+                 std::vector<size_t> order = {});
 
 /// Process-wide pool for data-parallel storage/scan work: sharded index
 /// builds and the scan planner's per-shard filter fan-out. Lazily created

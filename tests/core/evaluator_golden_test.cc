@@ -6,13 +6,11 @@
 
 #include <cmath>
 #include <cstring>
-#include <string>
 #include <vector>
 
 #include "core/evaluator.h"
 #include "core/exact.h"
 #include "testing/random_instance.h"
-#include "util/simd.h"
 
 namespace vq {
 namespace {
@@ -128,50 +126,6 @@ uint64_t Bits(double x) {
   uint64_t bits;
   std::memcpy(&bits, &x, sizeof(bits));
   return bits;
-}
-
-class ScopedKernelOverride {
- public:
-  explicit ScopedKernelOverride(const simd::Kernels* kernels) {
-    simd::SetActiveForTesting(kernels);
-  }
-  ~ScopedKernelOverride() { simd::SetActiveForTesting(nullptr); }
-};
-
-TEST(EvaluatorGoldenTest, SingleFactUtilitiesMatchPreGatheredPositiveGain) {
-  // The initialization join gathers the prior deviation per scope row. The
-  // reference pre-gathers that column into CSR order and streams it through
-  // the dense positive_gain kernel of the same table. The scalar and avx512
-  // kernel pairs accumulate identically (bit-equal); avx2's dense kernel
-  // runs two accumulators where its gather kernel runs one (relative 1e-12).
-  for (const simd::Kernels* impl : simd::AllImplementations()) {
-    SCOPED_TRACE(impl->name);
-    ScopedKernelOverride override_kernels(impl);
-    bool bit_equal = std::string(impl->name) == "scalar" ||
-                     std::string(impl->name) == "avx512";
-    for (uint64_t seed : {5ull, 1234ull}) {
-      RandomProblem problem = MakeRandomProblem(seed, 3, 4, 300, 30, 2);
-      const Evaluator& evaluator = *problem.evaluator;
-      const FactCatalog& catalog = *problem.catalog;
-      std::vector<double> got = evaluator.SingleFactUtilities();
-      ASSERT_EQ(got.size(), catalog.NumFacts());
-      for (FactId id = 0; id < catalog.NumFacts(); ++id) {
-        std::vector<double> prior_devs;
-        for (uint32_t r : catalog.ScopeRows(id)) {
-          prior_devs.push_back(evaluator.PriorDeviations()[r]);
-        }
-        double expected = impl->positive_gain(
-            prior_devs.data(), catalog.ScopeDevs(id).data(),
-            catalog.ScopeWeights(id).data(), prior_devs.size());
-        if (bit_equal) {
-          EXPECT_EQ(Bits(got[id]), Bits(expected)) << "fact " << id;
-        } else {
-          EXPECT_NEAR(got[id], expected, 1e-12 * std::max(1.0, std::fabs(expected)))
-              << "fact " << id;
-        }
-      }
-    }
-  }
 }
 
 TEST(EvaluatorGoldenTest, ExactSolveIndependentOfWhenScopeBitsAreBuilt) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <map>
 #include <string>
@@ -229,25 +228,15 @@ void ExpectCatalogMatchesReference(const SummaryInstance& inst, int max_fact_dim
   for (FactId id = 0; id < facts.size(); ++id) {
     const std::vector<FactId>& row_fact = row_facts[facts[id].group];
     std::vector<uint32_t> rows;
-    std::vector<uint64_t> devs, weights;
     std::vector<uint64_t> bits(catalog.ScopeWords(), 0);
     for (uint32_t r = 0; r < inst.num_rows; ++r) {
       if (row_fact[r] != id) continue;
       rows.push_back(r);
-      devs.push_back(Bits(std::fabs(facts[id].value - inst.target[r])));
-      weights.push_back(Bits(inst.weight[r]));
       bits[r >> 6] |= uint64_t{1} << (r & 63);
     }
-    auto as_bits = [](std::span<const double> xs) {
-      std::vector<uint64_t> out;
-      for (double x : xs) out.push_back(Bits(x));
-      return out;
-    };
     auto got_rows = catalog.ScopeRows(id);
     auto got_bits = catalog.ScopeBits(id);
     EXPECT_EQ(std::vector<uint32_t>(got_rows.begin(), got_rows.end()), rows) << id;
-    EXPECT_EQ(as_bits(catalog.ScopeDevs(id)), devs) << "fact " << id;
-    EXPECT_EQ(as_bits(catalog.ScopeWeights(id)), weights) << "fact " << id;
     EXPECT_EQ(std::vector<uint64_t>(got_bits.begin(), got_bits.end()), bits) << id;
   }
 }

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -82,6 +83,47 @@ TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
   parallel.wait();
   EXPECT_TRUE(returned) << "ParallelFor waited for an unrelated task";
   EXPECT_EQ(counter.load(), 100);
+}
+
+TEST(ThreadPoolTest, ParallelForCallerTakesTheFrontOfItsOrder) {
+  // With the only worker busy, no task gets to run: the caller runs every
+  // index itself, in the order it was given.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::promise<void> blocker_started;
+  pool.Submit([released, &blocker_started] {
+    blocker_started.set_value();
+    released.wait();
+  });
+  blocker_started.get_future().wait();
+  std::vector<size_t> ran;
+  ParallelFor(&pool, 4, [&ran](size_t i) { ran.push_back(i); }, {3, 0, 2, 1});
+  release.set_value();
+  pool.Wait();
+  EXPECT_EQ(ran, (std::vector<size_t>{3, 0, 2, 1}));
+}
+
+TEST(ThreadPoolTest, ParallelForNestedOnItsOwnPoolFinishes) {
+  // Every worker runs a ParallelFor over the same pool, so no worker is
+  // free for the tasks those calls submit: each caller must do its whole
+  // range and return without waiting for tasks that never started.
+  // Leaked on a timeout: destroying it would join the stuck workers.
+  auto* pool = new ThreadPool(2);
+  auto counter = std::make_shared<std::atomic<int>>(0);
+  std::vector<std::future<void>> outer;
+  for (int t = 0; t < 2; ++t) {
+    outer.push_back(pool->SubmitTask([pool, counter] {
+      ParallelFor(pool, 50, [&counter](size_t) { counter->fetch_add(1); });
+    }));
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (std::future<void>& f : outer) {
+    ASSERT_EQ(f.wait_until(deadline), std::future_status::ready)
+        << "nested ParallelFor deadlocked its pool";
+  }
+  EXPECT_EQ(counter->load(), 100);
+  delete pool;
 }
 
 TEST(ThreadPoolTest, SubmitTaskReturnsResultThroughFuture) {

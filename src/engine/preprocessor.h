@@ -41,7 +41,11 @@ struct PreprocessOptions {
 };
 
 /// Generates all queries for `config`, solves each summarization problem
-/// with the configured algorithm and returns the filled store.
+/// with the configured algorithm and returns the filled store. Each problem's
+/// instance is a slice of one whole-table merge per target (TableMerge), so
+/// no problem runs its own filter or merge; the store is byte-identical to
+/// solving every problem with PreparedProblem::Prepare. The merges, 4 B per
+/// table row and target, are freed on return.
 Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
                                const PreprocessOptions& options,
                                PreprocessStats* stats = nullptr);

@@ -4,8 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <numeric>
+#include <ranges>
 
 #include "relational/group_by.h"
+#include "storage/index.h"
 #include "util/fnv.h"
 #include "util/simd.h"
 
@@ -43,30 +46,68 @@ uint64_t RowKeyHash(uint64_t codes_hash, double target) {
   return h;
 }
 
-}  // namespace
-
-Result<SummaryInstance> BuildInstance(const Table& table,
-                                      const PredicateSet& query_predicates,
-                                      int target_index,
-                                      const InstanceOptions& options) {
-  // Validate before the O(rows) filter scan so bad arguments fail cheaply.
-  if (target_index < 0 || static_cast<size_t>(target_index) >= table.NumTargets()) {
-    return Status::InvalidArgument("target index " + std::to_string(target_index) +
-                                   " out of range");
+/// The (codes, target) merge every instance build runs: visits `rows` in
+/// order and reports each row either as the first of a new group
+/// (on_first(row)) or as a repeat of group g, whose first row is `first`
+/// (on_repeat(g, first)). Groups follow first-row order. A flat
+/// open-addressing table (linear probing, load <= 1/2) of group indices
+/// places rows by hash; a row joins a group only when its target and every
+/// code in `columns` equal the group's first row's.
+template <typename Rows, typename OnFirst, typename OnRepeat>
+void MergeRows(std::span<const std::span<const ValueId>> columns,
+               std::span<const double> target_column, const Rows& rows,
+               OnFirst on_first, OnRepeat on_repeat) {
+  if (rows.size() == 0) return;
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  size_t capacity = std::bit_ceil(2 * static_cast<size_t>(rows.size()));
+  int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint32_t> buckets(capacity, kEmpty);
+  std::vector<uint64_t> group_hash;
+  std::vector<uint32_t> group_first;
+  for (uint32_t r : rows) {
+    Fnv64 fnv;  // FNV-1a over codes (util/fnv.h)
+    for (std::span<const ValueId> column : columns) {
+      fnv.MixWord(static_cast<uint64_t>(column[r]) + 1);
+    }
+    double v = target_column[r];
+    uint64_t h = RowKeyHash(fnv.state, v);
+    for (size_t b = h >> shift;; b = (b + 1) & (capacity - 1)) {
+      uint32_t g = buckets[b];
+      if (g == kEmpty) {
+        buckets[b] = static_cast<uint32_t>(group_first.size());
+        group_hash.push_back(h);
+        group_first.push_back(r);
+        on_first(r);
+        break;
+      }
+      uint32_t first = group_first[g];
+      if (group_hash[g] == h && target_column[first] == v &&
+          std::all_of(columns.begin(), columns.end(),
+                      [r, first](std::span<const ValueId> column) {
+                        return column[r] == column[first];
+                      })) {
+        on_repeat(g, first);
+        break;
+      }
+    }
   }
-  return BuildInstanceFromRows(table, query_predicates, target_index,
-                               FilterRows(table, query_predicates), options);
 }
 
-Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
-                                              const PredicateSet& query_predicates,
-                                              int target_index,
-                                              const std::vector<uint32_t>& rows,
-                                              const InstanceOptions& options) {
+Status CheckTarget(const Table& table, int target_index) {
   if (target_index < 0 || static_cast<size_t>(target_index) >= table.NumTargets()) {
     return Status::InvalidArgument("target index " + std::to_string(target_index) +
                                    " out of range");
   }
+  return Status::OK();
+}
+
+/// Everything an instance takes from the schema alone: the target's name
+/// and unit and the free dimensions. Fails on a bad target, then on an
+/// over-wide free dimension -- the order BuildInstance reports them in.
+Result<SummaryInstance> InstanceSchema(const Table& table,
+                                       const PredicateSet& query_predicates,
+                                       int target_index) {
+  VQ_RETURN_IF_ERROR(CheckTarget(table, target_index));
   SummaryInstance inst;
   inst.target_name = table.TargetName(static_cast<size_t>(target_index));
   inst.target_unit = table.TargetUnit(static_cast<size_t>(target_index));
@@ -90,32 +131,68 @@ Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
       inst.dim_cardinalities.push_back(table.dict(d).size());
     }
   }
+  return inst;
+}
 
+/// The prior `options` asks for. `global_average` is only called for
+/// kGlobalAverage; `subset_sum` (the subset's targets summed in ascending
+/// row order) is only read for kSubsetAverage.
+template <typename GlobalAverageFn>
+double Prior(const InstanceOptions& options, GlobalAverageFn global_average,
+             double subset_sum, size_t subset_rows) {
+  switch (options.prior_kind) {
+    case PriorKind::kGlobalAverage:
+      return global_average();
+    case PriorKind::kSubsetAverage:
+      return subset_sum / static_cast<double>(subset_rows);
+    case PriorKind::kZero:
+      return 0.0;
+    case PriorKind::kConstant:
+      return options.prior_value;
+  }
+  return 0.0;
+}
+
+std::vector<std::span<const ValueId>> DimColumns(const Table& table,
+                                                 const std::vector<int>& dims) {
+  std::vector<std::span<const ValueId>> columns;
+  columns.reserve(dims.size());
+  for (int d : dims) columns.push_back(table.DimColumn(static_cast<size_t>(d)));
+  return columns;
+}
+
+}  // namespace
+
+Result<SummaryInstance> BuildInstance(const Table& table,
+                                      const PredicateSet& query_predicates,
+                                      int target_index,
+                                      const InstanceOptions& options) {
+  // Validate before the O(rows) filter scan so bad arguments fail cheaply.
+  VQ_RETURN_IF_ERROR(CheckTarget(table, target_index));
+  return BuildInstanceFromRows(table, query_predicates, target_index,
+                               FilterRows(table, query_predicates), options);
+}
+
+Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
+                                              const PredicateSet& query_predicates,
+                                              int target_index,
+                                              const std::vector<uint32_t>& rows,
+                                              const InstanceOptions& options) {
+  VQ_ASSIGN_OR_RETURN(SummaryInstance inst,
+                      InstanceSchema(table, query_predicates, target_index));
   if (rows.empty()) {
     return Status::NotFound("query predicates select no rows");
   }
 
   std::span<const double> target_column =
       table.TargetColumn(static_cast<size_t>(target_index));
-
-  // Prior.
-  switch (options.prior_kind) {
-    case PriorKind::kGlobalAverage:
-      inst.prior = GlobalAverage(table, target_index);
-      break;
-    case PriorKind::kSubsetAverage: {
-      double sum = 0.0;
-      for (uint32_t r : rows) sum += target_column[r];
-      inst.prior = sum / static_cast<double>(rows.size());
-      break;
-    }
-    case PriorKind::kZero:
-      inst.prior = 0.0;
-      break;
-    case PriorKind::kConstant:
-      inst.prior = options.prior_value;
-      break;
+  double subset_sum = 0.0;
+  if (options.prior_kind == PriorKind::kSubsetAverage) {
+    for (uint32_t r : rows) subset_sum += target_column[r];
   }
+  inst.prior = Prior(
+      options, [&] { return GlobalAverage(table, target_index); }, subset_sum,
+      rows.size());
 
   size_t num_dims = inst.dims.size();
   inst.total_weight = static_cast<double>(rows.size());
@@ -136,46 +213,100 @@ Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
   }
 
   // Merge rows with identical (codes, target) into weighted rows, in the
-  // order each key first appears, through a flat open-addressing table
-  // (linear probing, load <= 1/2) of merged-row indices. The hash only picks
-  // the bucket: a row merges only when its target and every code are equal.
-  constexpr uint32_t kEmpty = UINT32_MAX;
-  size_t capacity = std::bit_ceil(2 * rows.size());
-  int shift = 64 - std::countr_zero(capacity);
-  std::vector<uint32_t> buckets(capacity, kEmpty);
-  std::vector<uint64_t> merged_hash;  // per merged row
-  std::vector<std::span<const ValueId>> columns(num_dims);
-  for (size_t d = 0; d < num_dims; ++d) {
-    columns[d] = table.DimColumn(static_cast<size_t>(inst.dims[d]));
-  }
-  std::vector<ValueId> row_codes(num_dims);
-  for (uint32_t r : rows) {
-    Fnv64 fnv;  // FNV-1a over codes (util/fnv.h)
-    for (size_t d = 0; d < num_dims; ++d) {
-      row_codes[d] = columns[d][r];
-      fnv.MixWord(static_cast<uint64_t>(row_codes[d]) + 1);
-    }
-    double v = target_column[r];
-    uint64_t h = RowKeyHash(fnv.state, v);
-    for (size_t b = h >> shift;; b = (b + 1) & (capacity - 1)) {
-      uint32_t m = buckets[b];
-      if (m == kEmpty) {
-        buckets[b] = static_cast<uint32_t>(inst.num_rows);
-        merged_hash.push_back(h);
-        inst.codes.insert(inst.codes.end(), row_codes.begin(), row_codes.end());
-        inst.target.push_back(v);
+  // order each key first appears.
+  std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
+  MergeRows(
+      columns, target_column, rows,
+      [&](uint32_t r) {
+        for (std::span<const ValueId> column : columns) inst.codes.push_back(column[r]);
+        inst.target.push_back(target_column[r]);
         inst.weight.push_back(1.0);
         ++inst.num_rows;
-        break;
+      },
+      [&](uint32_t g, uint32_t) { inst.weight[g] += 1.0; });
+  return inst;
+}
+
+TableMerge::TableMerge(const Table& table, int target_index)
+    : table_(&table), target_index_(target_index) {
+  if (!CheckTarget(table, target_index).ok()) return;
+  std::vector<int> all_dims(table.NumDims());
+  std::iota(all_dims.begin(), all_dims.end(), 0);
+  multiplicity_.assign(table.NumRows(), 0);
+  MergeRows(
+      DimColumns(table, all_dims), table.TargetColumn(static_cast<size_t>(target_index)),
+      std::views::iota(uint32_t{0}, static_cast<uint32_t>(table.NumRows())),
+      [this](uint32_t r) { multiplicity_[r] = 1; },
+      [this](uint32_t, uint32_t first) { ++multiplicity_[first]; });
+  global_average_ = GlobalAverage(table, target_index);
+}
+
+Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
+                                          const InstanceOptions& options) const {
+  const Table& table = *table_;
+  VQ_ASSIGN_OR_RETURN(SummaryInstance inst,
+                      InstanceSchema(table, query_predicates, target_index_));
+  std::span<const double> target_column =
+      table.TargetColumn(static_cast<size_t>(target_index_));
+  std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
+
+  size_t matched = 0;
+  double subset_sum = 0.0;
+  bool subset_average = options.prior_kind == PriorKind::kSubsetAverage;
+  auto visit = [&](uint32_t r) {
+    ++matched;
+    if (subset_average) subset_sum += target_column[r];
+    uint32_t multiplicity = multiplicity_[r];
+    if (options.merge_duplicates && multiplicity == 0) return;
+    for (std::span<const ValueId> column : columns) inst.codes.push_back(column[r]);
+    inst.target.push_back(target_column[r]);
+    inst.weight.push_back(options.merge_duplicates ? multiplicity : 1.0);
+    ++inst.num_rows;
+  };
+
+  if (query_predicates.empty()) {
+    for (uint32_t r = 0; r < table.NumRows(); ++r) visit(r);
+  } else {
+    // Walk the rarest predicate's postings in ascending row order and check
+    // the rest against their columns.
+    const TableIndex& index = table.index();
+    size_t rarest = 0;
+    for (size_t i = 1; i < query_predicates.size(); ++i) {
+      const EqPredicate& p = query_predicates[i];
+      const EqPredicate& best = query_predicates[rarest];
+      if (index.Count(static_cast<size_t>(p.dim), p.value) <
+          index.Count(static_cast<size_t>(best.dim), best.value)) {
+        rarest = i;
       }
-      if (merged_hash[m] == h && inst.target[m] == v &&
-          std::equal(row_codes.begin(), row_codes.end(),
-                     inst.codes.begin() + static_cast<ptrdiff_t>(m * num_dims))) {
-        inst.weight[m] += 1.0;
-        break;
+    }
+    std::vector<std::pair<std::span<const ValueId>, ValueId>> checks;
+    for (size_t i = 0; i < query_predicates.size(); ++i) {
+      if (i == rarest) continue;
+      const EqPredicate& p = query_predicates[i];
+      checks.emplace_back(table.DimColumn(static_cast<size_t>(p.dim)), p.value);
+    }
+    const EqPredicate& p = query_predicates[rarest];
+    for (const ShardIndex& shard : index.shards()) {
+      for (uint32_t local : shard.Postings(static_cast<size_t>(p.dim), p.value)) {
+        uint32_t r = shard.base() + local;
+        bool match = true;
+        for (const auto& [column, value] : checks) {
+          if (column[r] != value) {
+            match = false;
+            break;
+          }
+        }
+        if (match) visit(r);
       }
     }
   }
+
+  if (matched == 0) {
+    return Status::NotFound("query predicates select no rows");
+  }
+  inst.total_weight = static_cast<double>(matched);
+  inst.prior = Prior(
+      options, [this] { return global_average_; }, subset_sum, matched);
   return inst;
 }
 

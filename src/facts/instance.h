@@ -28,7 +28,9 @@ enum class PriorKind {
 /// weighted, which leaves every result unchanged while shrinking the block
 /// (targets here are integers in practice, so merge rates are high). The
 /// merge is exact -- rows are compared code by code, a hash only places
-/// them -- and merged rows keep the order of their first source row.
+/// them -- and merged rows keep the order of their first source row, whose
+/// target they carry. Built per problem by BuildInstance, or as a slice of
+/// one whole-table merge by TableMerge::Slice; both give the same bits.
 struct SummaryInstance {
   /// Fact-eligible dimension columns (indices into the source table) -- the
   /// dimensions not already fixed by the query's predicates.
@@ -84,12 +86,46 @@ double GlobalAverage(const Table& table, int target_index);
 /// exactly the rows matching `query_predicates`). The serving layer's batch
 /// solver filters many queries in one shared table pass (FilterRowsMulti)
 /// and builds each instance from its precomputed subset; results are
-/// identical to BuildInstance.
+/// identical to BuildInstance. Its merge is the same loop TableMerge runs
+/// once over the whole table.
 Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
                                               const PredicateSet& query_predicates,
                                               int target_index,
                                               const std::vector<uint32_t>& rows,
                                               const InstanceOptions& options = {});
+
+/// \brief One target's merge of the whole table on (all dimension codes,
+/// target), from which every problem's instance is sliced.
+///
+/// Two rows matching a predicate set P already agree on P's dimensions, so
+/// they merge under P exactly when they merge here. Every instance of P is
+/// therefore the set of this merge's groups whose codes match P, in
+/// first-row order, projected onto the free dimensions -- bit for bit:
+/// weights are integer counts and a group keeps its first row's target.
+/// Stored as a multiplicity column, 4 B per table row: the group's size on
+/// its first row, 0 on every other row. The table must outlive the merge
+/// and not change under it.
+class TableMerge {
+ public:
+  /// One pass of the instance merge over every row of `table`. A bad
+  /// `target_index` builds nothing; Slice then reports it as BuildInstance
+  /// does.
+  TableMerge(const Table& table, int target_index);
+
+  /// Returns exactly what BuildInstance(table, query_predicates,
+  /// target_index, options) returns, statuses included, without a filter
+  /// pass or a hash merge: walks the shortest posting list of the
+  /// predicates shard by shard, checks the others against the columns and
+  /// emits the matching rows that start a group.
+  Result<SummaryInstance> Slice(const PredicateSet& query_predicates,
+                                const InstanceOptions& options = {}) const;
+
+ private:
+  const Table* table_;
+  int target_index_;
+  std::vector<uint32_t> multiplicity_;  ///< per table row
+  double global_average_ = 0.0;         ///< the kGlobalAverage prior
+};
 
 }  // namespace vq
 

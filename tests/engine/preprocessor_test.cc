@@ -1,7 +1,8 @@
 // Parallel pre-processing: whatever pool runs it, Preprocess must fill the
-// store exactly as a sequential run does, and a registry pre-processing on
-// its own pool must never deadlock, even when AddDataset itself runs on
-// that pool.
+// store exactly as a sequential run does, every stored speech must be the
+// one PreparedProblem::Prepare gives for its problem alone (the store slices
+// a whole-table merge instead), and a registry pre-processing on its own
+// pool must never deadlock, even when AddDataset itself runs on that pool.
 #include "engine/preprocessor.h"
 
 #include <gtest/gtest.h>
@@ -9,9 +10,11 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "query/problem_generator.h"
 #include "serve/registry.h"
 #include "storage/datasets.h"
 #include "util/simd.h"
@@ -53,6 +56,32 @@ std::vector<std::string> Fingerprint(const SpeechStore& store,
   return lines;
 }
 
+/// Fingerprint's speech lines for a store built by solving each problem on
+/// its own: Prepare (filter and merge), Run and RenderSpeech, in generation
+/// order, skipping empty subsets as Preprocess does.
+std::vector<std::string> PreparedFingerprint(const Table& table,
+                                             const Configuration& config) {
+  SummarizerOptions summarizer;
+  summarizer.max_facts = config.max_facts;
+  summarizer.max_fact_dims = config.max_fact_dims;
+  summarizer.algorithm = PreprocessOptions{}.algorithm;
+  summarizer.instance.prior_kind = config.prior;
+  summarizer.instance.prior_value = config.prior_value;
+  std::vector<std::string> lines;
+  for (const VoiceQuery& query :
+       ProblemGenerator::Create(&table, config).value().GenerateQueries()) {
+    auto prepared = PreparedProblem::Prepare(table, query.predicates,
+                                             query.target_index, summarizer);
+    if (!prepared.ok()) continue;
+    Speech speech = RenderSpeech(table, prepared.value().instance(),
+                                 prepared.value().catalog(),
+                                 prepared.value().Run(summarizer), query.predicates);
+    lines.push_back(query.Key() + " " + std::to_string(Bits(speech.scaled_utility)) +
+                    " " + speech.text);
+  }
+  return lines;
+}
+
 class ScopedKernelOverride {
  public:
   explicit ScopedKernelOverride(const simd::Kernels* kernels) {
@@ -82,6 +111,43 @@ TEST(PreprocessScheduleTest, PooledStoreIsByteIdenticalToSequential) {
       auto pooled = Preprocess(table, config, options, &stats);
       ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
       EXPECT_EQ(Fingerprint(pooled.value(), stats), expected);
+    }
+  }
+}
+
+TEST(PreprocessScheduleTest, StoreMatchesPreparingEveryProblemAlone) {
+  Table single_shard = MakeStackOverflowTable(800, 20210318);
+  Table sharded = MakeStackOverflowTable(800, 97);
+  sharded.SetTargetShardRows(256);
+  ASSERT_GT(sharded.index().num_shards(), 1u);
+  for (const Table* table : {&single_shard, &sharded}) {
+    SCOPED_TRACE(std::to_string(table->index().num_shards()) + " shards");
+    for (PriorKind prior : {PriorKind::kGlobalAverage, PriorKind::kSubsetAverage,
+                            PriorKind::kConstant}) {
+      SCOPED_TRACE("prior " + std::to_string(static_cast<int>(prior)));
+      Configuration config = StackOverflowConfig();
+      config.prior = prior;
+      config.prior_value = 2.5;
+      for (const simd::Kernels* impl : simd::AllImplementations()) {
+        SCOPED_TRACE(impl->name);
+        ScopedKernelOverride override_kernels(impl);
+        std::vector<std::string> expected = PreparedFingerprint(*table, config);
+        ASSERT_GT(expected.size(), 100u);
+        for (size_t workers : {0u, 1u, 3u}) {
+          SCOPED_TRACE(std::to_string(workers) + " workers");
+          std::unique_ptr<ThreadPool> pool;
+          PreprocessOptions options;
+          if (workers > 0) {
+            pool = std::make_unique<ThreadPool>(workers);
+            options.pool = pool.get();
+          }
+          auto store = Preprocess(*table, config, options);
+          ASSERT_TRUE(store.ok()) << store.status().ToString();
+          std::vector<std::string> got = Fingerprint(store.value(), {});
+          got.erase(got.begin());  // the stats line
+          EXPECT_EQ(got, expected);
+        }
+      }
     }
   }
 }

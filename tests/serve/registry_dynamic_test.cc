@@ -17,6 +17,7 @@
 
 #include "serve/registry.h"
 #include "serve/router.h"
+#include "testing/status_ledger.h"
 
 namespace vq {
 namespace serve {
@@ -370,22 +371,29 @@ TEST(DynamicRegistryTest, ConcurrentAddRemoveUnderSubmitTraffic) {
       "delay in the North",           "delay in Winter",
   };
 
+  // Every response is tallied -- one ledger per submitter, one for this
+  // thread's AnswerNow calls -- and reconciled with the router's counters
+  // at the end: registrations (each one pre-processing the new dataset)
+  // must not lose or double-count a request.
+  testing::StatusLedger submit_ledgers[2];
+  testing::StatusLedger answer_ledger;
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> submitted{0};
-  auto submitter = [&] {
+  auto submitter = [&](testing::StatusLedger* ledger) {
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       std::future<RoutedResponse> future =
           router.Submit(steady_requests[i++ % steady_requests.size()]);
       RoutedResponse routed = future.get();
+      ledger->Add(routed.response.status);
       // Whatever the registry did meanwhile, every request resolves to a
       // well-formed response (possibly unrouted while "re" is absent).
       EXPECT_FALSE(routed.response.text.empty());
       submitted.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  std::thread submit_a(submitter);
-  std::thread submit_b(submitter);
+  std::thread submit_a(submitter, &submit_ledgers[0]);
+  std::thread submit_b(submitter, &submit_ledgers[1]);
 
   const int kCycles = 6;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -393,12 +401,14 @@ TEST(DynamicRegistryTest, ConcurrentAddRemoveUnderSubmitTraffic) {
         registry.AddGenerated("re", RunningExampleConfig(), 16, kSeed).ok());
     // The dataset is routable the moment AddGenerated returned.
     RoutedResponse added = router.AnswerNow("delay in the East");
+    answer_ledger.Add(added.response.status);
     EXPECT_TRUE(added.routed);
     EXPECT_EQ(added.dataset, "re");
     ASSERT_TRUE(registry.RemoveDataset("re").ok());
     // The misroute guarantee: once RemoveDataset returned, no new request
     // may route to the removed dataset.
     RoutedResponse after = router.AnswerNow("delay in the East");
+    answer_ledger.Add(after.response.status);
     EXPECT_FALSE(after.routed && after.dataset == "re") << "cycle " << cycle;
   }
 
@@ -423,6 +433,12 @@ TEST(DynamicRegistryTest, ConcurrentAddRemoveUnderSubmitTraffic) {
   RouterStats stats = router.stats();
   EXPECT_GE(stats.registry_syncs, static_cast<uint64_t>(kCycles));
   EXPECT_EQ(stats.requests, stats.routed + stats.unrouted);
+  testing::StatusLedger ledger = answer_ledger;
+  for (const testing::StatusLedger& submit_ledger : submit_ledgers) {
+    ledger.Add(submit_ledger);
+  }
+  EXPECT_EQ(ledger.requests, submitted.load() + 2 * kCycles);
+  ledger.ExpectMatches(stats);
 }
 
 }  // namespace

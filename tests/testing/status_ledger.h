@@ -34,6 +34,14 @@ struct StatusLedger {
     }
   }
 
+  /// Folds in another ledger, e.g. one per client thread.
+  void Add(const StatusLedger& other) {
+    requests += other.requests;
+    shed += other.shed;
+    timeouts += other.timeouts;
+    degraded += other.degraded;
+  }
+
   /// The router counts every request it resolved, by status.
   void ExpectMatches(const serve::RouterStats& stats) const {
     EXPECT_EQ(stats.requests, requests);

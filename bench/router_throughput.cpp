@@ -1,10 +1,7 @@
 // Multi-dataset routing throughput: queries/sec and latency percentiles of
 // RoutingService at 1/4/16 worker threads over THREE registered datasets
 // (flights, ACS, primaries), with per-request routing decided purely from
-// NLU vocabulary coverage -- no request names its dataset. Also measures the
-// batched on-demand path: concurrent distinct cache misses sharing a target
-// column must be solved in fewer shared table passes than there are misses
-// (counter-verified), each miss still summarized exactly once.
+// NLU vocabulary coverage -- no request names its dataset.
 //
 // Since the dynamic-registry work, the bench also measures add/remove under
 // load: a fourth dataset is registered and retired in a loop while steady
@@ -168,29 +165,6 @@ RunResult TimedRun(const vq::serve::DatasetRegistry& registry, size_t threads,
   result.cache_hit_rate = router.cache().TotalStats().HitRate();
   result.misrouted = misrouted;
   return result;
-}
-
-/// Fires `requests` (all distinct, all on-demand for the flights host) at a
-/// fresh RoutingService and reports the host's shared-pass counters.
-vq::serve::HostStats ColdOnDemandRun(const vq::serve::DatasetRegistry& registry,
-                                     const std::vector<std::string>& requests,
-                                     size_t threads) {
-  vq::serve::RouterOptions options;
-  options.num_threads = threads;
-  vq::serve::RoutingService router(&registry, options);
-  std::vector<std::future<vq::serve::RoutedResponse>> futures;
-  futures.reserve(requests.size());
-  for (const auto& request : requests) futures.push_back(router.Submit(request));
-  size_t answered = 0;
-  for (auto& future : futures) {
-    if (future.get().response.answered) ++answered;
-  }
-  vq::serve::HostStats stats = router.host("flights")->stats();
-  if (answered != requests.size()) {
-    std::fprintf(stderr, "WARNING: only %zu/%zu cold queries answered\n", answered,
-                 requests.size());
-  }
-  return stats;
 }
 
 struct ChurnResult {
@@ -664,38 +638,6 @@ int main() {
               "misrouted: %zu\n",
               speedup_4v1, speedup_16v1, total_misrouted);
 
-  // ---- Batched on-demand: 16 distinct month/time-of-day queries are
-  // outside the flights configuration, so each needs the optimizer.
-  // Answered one at a time, that is one table pass per query; submitted
-  // concurrently, misses sharing the "cancelled" target group into shared
-  // passes.
-  const vq::Table* flights = registry.table("flights");
-  std::vector<std::string> cold_requests;
-  const vq::Dictionary& months =
-      flights->dict(static_cast<size_t>(flights->DimIndex("month")));
-  for (size_t v = 0; v < months.size(); ++v) {
-    cold_requests.push_back("cancelled " +
-                            months.Lookup(static_cast<vq::ValueId>(v)));
-  }
-  const vq::Dictionary& times =
-      flights->dict(static_cast<size_t>(flights->DimIndex("time_of_day")));
-  for (size_t v = 0; v < times.size(); ++v) {
-    cold_requests.push_back("cancelled " +
-                            times.Lookup(static_cast<vq::ValueId>(v)));
-  }
-  const size_t kBatchThreads = 8;
-  vq::serve::HostStats batched =
-      ColdOnDemandRun(registry, cold_requests, kBatchThreads);
-  bool batching_ok = batched.on_demand_passes < cold_requests.size() &&
-                     batched.on_demand_summaries == cold_requests.size();
-  std::printf(
-      "On-demand passes for %zu distinct misses at %zu threads: "
-      "batched %llu (largest batch %llu) [%s]\n",
-      cold_requests.size(), kBatchThreads,
-      static_cast<unsigned long long>(batched.on_demand_passes),
-      static_cast<unsigned long long>(batched.max_batch),
-      batching_ok ? "OK" : "FAIL");
-
   // ---- Add/remove under load: the dynamic-registry scenario. Steady
   // three-dataset traffic keeps flowing while a fourth dataset cycles in
   // and out of the live registry.
@@ -785,15 +727,6 @@ int main() {
   report.Set("routed_warm", std::move(warm));
   report.Set("speedup_4v1", vq::Json::Number(speedup_4v1));
   report.Set("speedup_16v1", vq::Json::Number(speedup_16v1));
-  vq::Json batch = vq::Json::Object();
-  batch.Set("distinct_queries",
-            vq::Json::Int(static_cast<int64_t>(cold_requests.size())));
-  batch.Set("threads", vq::Json::Int(static_cast<int64_t>(kBatchThreads)));
-  batch.Set("batched_passes",
-            vq::Json::Int(static_cast<int64_t>(batched.on_demand_passes)));
-  batch.Set("max_batch", vq::Json::Int(static_cast<int64_t>(batched.max_batch)));
-  batch.Set("batching_ok", vq::Json::Bool(batching_ok));
-  report.Set("on_demand_batching", std::move(batch));
   vq::Json dynamic = vq::Json::Object();
   dynamic.Set("cycles", vq::Json::Int(static_cast<int64_t>(churn.cycles)));
   dynamic.Set("wall_seconds", vq::Json::Number(churn.wall_seconds));
@@ -858,7 +791,7 @@ int main() {
   out.close();
   std::printf("Report written to %s\n", out_path.c_str());
 
-  bool ok = batching_ok && total_misrouted == 0 && speedup_4v1 > 2.0 &&
+  bool ok = total_misrouted == 0 && speedup_4v1 > 2.0 &&
             churn_ok && snap_ok && overload_ok;
   return ok ? 0 : 1;
 }

@@ -46,8 +46,9 @@ class PreparedProblem {
                                          int target_index,
                                          const SummarizerOptions& options);
 
-  /// Wraps an already-built instance (e.g. from BuildInstanceFromRows on the
-  /// serving layer's batched path) with its fact catalog and evaluator.
+  /// Wraps an already-built instance (e.g. a TableMerge slice, as
+  /// pre-processing and the serving layer's on-demand solves build them)
+  /// with its fact catalog and evaluator.
   static Result<PreparedProblem> FromInstance(SummaryInstance instance,
                                               const SummarizerOptions& options);
 

@@ -1,5 +1,7 @@
 #include "engine/voice_engine.h"
 
+#include <cassert>
+
 #include "util/stopwatch.h"
 
 namespace vq {
@@ -8,14 +10,8 @@ Result<VoiceQueryEngine> VoiceQueryEngine::Build(const Table* table,
                                                  Configuration config,
                                                  const PreprocessOptions& options,
                                                  PreprocessStats* stats) {
-  VoiceQueryEngine engine;
-  engine.table_ = table;
-  VQ_ASSIGN_OR_RETURN(engine.store_, Preprocess(*table, config, options, stats));
-  engine.config_ = std::move(config);
-  engine.extractor_ = std::make_unique<QueryExtractor>(table);
-  engine.classifier_ = std::make_unique<RequestClassifier>(
-      engine.extractor_.get(), engine.config_.max_query_predicates);
-  return engine;
+  VQ_ASSIGN_OR_RETURN(SpeechStore store, Preprocess(*table, config, options, stats));
+  return FromStore(table, std::move(config), std::move(store));
 }
 
 VoiceQueryEngine VoiceQueryEngine::FromStore(const Table* table,
@@ -28,7 +24,17 @@ VoiceQueryEngine VoiceQueryEngine::FromStore(const Table* table,
   engine.extractor_ = std::make_unique<QueryExtractor>(table);
   engine.classifier_ = std::make_unique<RequestClassifier>(
       engine.extractor_.get(), engine.config_.max_query_predicates);
+  engine.merges_ = std::make_unique<LazyMerge[]>(table->NumTargets());
   return engine;
+}
+
+const TableMerge& VoiceQueryEngine::Merge(int target_index) const {
+  assert(target_index >= 0 &&
+         static_cast<size_t>(target_index) < table_->NumTargets());
+  LazyMerge& slot = merges_[static_cast<size_t>(target_index)];
+  std::call_once(slot.once,
+                 [&] { slot.merge.emplace(*table_, target_index); });
+  return *slot.merge;
 }
 
 std::string VoiceQueryEngine::HelpText() const {

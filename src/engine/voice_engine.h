@@ -5,12 +5,15 @@
 #define VQ_ENGINE_VOICE_ENGINE_H_
 
 #include <memory>
+#include <mutex>  // std::call_once for the lazy table merges (not locking)
+#include <optional>
 #include <string>
 
 #include "util/sync.h"
 
 #include "engine/preprocessor.h"
 #include "engine/speech_store.h"
+#include "facts/instance.h"
 #include "nlu/classifier.h"
 #include "nlu/extractor.h"
 
@@ -32,6 +35,9 @@ namespace vq {
 ///     per-caller Sessions instead,
 ///   * mutable_extractor() / mutable_store() must not be used once
 ///     concurrent answering has started.
+/// Merge(target) is const and safe to call from any number of threads: the
+/// first call for a target builds its merge once, under std::call_once, and
+/// later calls only read it.
 /// The serving layer (src/serve/) relies on this contract to share one
 /// engine across all of its workers.
 class VoiceQueryEngine {
@@ -113,14 +119,30 @@ class VoiceQueryEngine {
   SpeechStore* mutable_store() { return &store_; }
   const Table& table() const { return *table_; }
 
+  /// The whole-table merge of target column `target_index` (a valid target
+  /// of table()), from which every on-demand instance of that target is
+  /// sliced -- the instance path pre-processing uses. Built by the target's
+  /// first call (one hash pass over the table, 4 B per row) and kept for
+  /// the engine's lifetime, so every router and host over this engine
+  /// shares it. Engines that never miss the store build none.
+  const TableMerge& Merge(int target_index) const;
+
  private:
   VoiceQueryEngine() = default;
+
+  /// One target's merge, built by its first Merge() call.
+  struct LazyMerge {
+    std::once_flag once;
+    std::optional<TableMerge> merge;
+  };
 
   const Table* table_ = nullptr;
   Configuration config_;
   SpeechStore store_;
   std::unique_ptr<QueryExtractor> extractor_;
   std::unique_ptr<RequestClassifier> classifier_;
+  /// One slot per table target. Held by pointer so the engine stays movable.
+  std::unique_ptr<LazyMerge[]> merges_;
   /// Guards default_session_ for the stateful Answer(request) overload.
   /// Held by pointer so the engine stays movable (vq::Mutex is not).
   std::unique_ptr<Mutex> default_session_mutex_ = std::make_unique<Mutex>();

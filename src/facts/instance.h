@@ -77,17 +77,14 @@ Result<SummaryInstance> BuildInstance(const Table& table,
                                       const InstanceOptions& options = {});
 
 /// The PriorKind::kGlobalAverage value: mean of the target column over the
-/// whole table. Exposed so the serving layer's batch solver can compute it
-/// once per target and substitute a kConstant prior WITHOUT duplicating
-/// this formula (batched answers must reproduce unbatched ones exactly).
+/// whole table. TableMerge computes it once per target with this same
+/// formula, so its slices carry BuildInstance's prior bit for bit.
 double GlobalAverage(const Table& table, int target_index);
 
 /// Like BuildInstance, but over an already-filtered row list (`rows` must be
-/// exactly the rows matching `query_predicates`). The serving layer's batch
-/// solver filters many queries in one shared table pass (FilterRowsMulti)
-/// and builds each instance from its precomputed subset; results are
-/// identical to BuildInstance. Its merge is the same loop TableMerge runs
-/// once over the whole table.
+/// exactly the rows matching `query_predicates`); results are identical to
+/// BuildInstance, which filters and then calls it. Its merge is the same
+/// loop TableMerge runs once over the whole table.
 Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
                                               const PredicateSet& query_predicates,
                                               int target_index,

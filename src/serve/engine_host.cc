@@ -1,8 +1,6 @@
 #include "serve/engine_host.h"
 
-#include <algorithm>
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -298,8 +296,8 @@ ServedAnswerPtr EngineHost::ComputeAnswer(const VoiceQuery& query,
     ServedAnswerPtr solved = SolveOnDemand(query, trace, deadline);
     if (solved != nullptr) return solved;
     // Empty subset, unsolvable instance, or deadline ran out before a solve
-    // slot/runner: fall through to the engine's
-    // most-specific-containing-speech behavior.
+    // slot: fall through to the engine's most-specific-containing-speech
+    // behavior.
   }
   // A fallback taken only because the budget curtailed the solve is a
   // reduced answer -- flag it degraded so the response says so.
@@ -328,88 +326,6 @@ ServedAnswerPtr EngineHost::ComputeAnswer(const VoiceQuery& query,
   answer->answered = false;
   answer->compute_seconds = watch.ElapsedSeconds();
   return answer;
-}
-
-std::shared_ptr<EngineHost::TargetBatchQueue> EngineHost::BatchQueueFor(
-    int target_index) {
-  MutexLock lock(batch_mutex_);
-  auto& slot = batch_queues_[target_index];
-  if (slot == nullptr) slot = std::make_shared<TargetBatchQueue>();
-  return slot;
-}
-
-ServedAnswerPtr EngineHost::SolveOnDemand(const VoiceQuery& query,
-                                          obs::Trace* trace,
-                                          const Deadline* deadline) {
-  auto pending = std::make_shared<PendingOnDemand>();
-  pending->query = query;
-  if (deadline != nullptr && deadline->enabled()) pending->deadline = *deadline;
-  std::future<ServedAnswerPtr> future = pending->promise.get_future();
-
-  // Protocol: enqueue, then loop until our promise resolves. Whoever finds
-  // no active runner solves exactly ONE batch (everything queued right then,
-  // always including its own unsolved entry) and hands runnership back via
-  // notify, so a request never drains a whole miss burst on behalf of later
-  // arrivals. No wakeup can be missed: promises resolve outside the lock,
-  // but the runner reacquires it before notifying, and a waiter holds it
-  // from its readiness check until cv.wait releases it atomically.
-  //
-  // Waiters with a deadline wait with a bounded timeout; once the budget is
-  // gone they withdraw their entry (if still queued) and return nullptr so
-  // the caller degrades to its store fallback. An entry already swapped into
-  // a running batch is simply abandoned -- the runner owns it via shared_ptr
-  // and resolving its promise is harmless.
-  std::shared_ptr<TargetBatchQueue> queue = BatchQueueFor(query.target_index);
-  // Manual Lock/Unlock (not MutexLock): the runner path drops the lock
-  // around SolveBatch and reacquires it before notifying, which RAII cannot
-  // express (the ACQUIRE/RELEASE pairs below keep the analysis tracking it).
-  queue->mutex.Lock();
-  queue->waiting.push_back(pending);
-  for (;;) {
-    if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-      queue->mutex.Unlock();
-      return future.get();
-    }
-    if (deadline != nullptr && deadline->Expired()) {
-      for (size_t i = 0; i < queue->waiting.size(); ++i) {
-        if (queue->waiting[i] == pending) {
-          queue->waiting.erase(queue->waiting.begin() + i);
-          break;
-        }
-      }
-      queue->mutex.Unlock();
-      return nullptr;
-    }
-    if (queue->running) {
-      if (deadline != nullptr && deadline->enabled()) {
-        double remaining = deadline->RemainingSeconds();
-        if (remaining < 0.0) remaining = 0.0;
-        queue->cv.WaitFor(queue->mutex, remaining);
-      } else {
-        queue->cv.Wait(queue->mutex);
-      }
-      continue;
-    }
-    queue->running = true;
-    std::vector<std::shared_ptr<PendingOnDemand>> batch;
-    batch.swap(queue->waiting);
-    queue->mutex.Unlock();
-    try {
-      SolveBatch(std::move(batch), trace, deadline);
-    } catch (...) {
-      // SolveBatch fulfills its promises even on failure; whatever still
-      // escaped must not leave `running` latched, or later misses would
-      // wait forever for a runner that never comes.
-      queue->mutex.Lock();
-      queue->running = false;
-      queue->cv.NotifyAll();
-      queue->mutex.Unlock();
-      throw;
-    }
-    queue->mutex.Lock();
-    queue->running = false;
-    queue->cv.NotifyAll();
-  }
 }
 
 EngineHost::SolveSlot::SolveSlot(EngineHost* host, const Deadline* deadline)
@@ -449,148 +365,82 @@ EngineHost::SolveSlot::~SolveSlot() {
   host_->gate_cv_.NotifyOne();
 }
 
-void EngineHost::SolveBatch(std::vector<std::shared_ptr<PendingOnDemand>> batch,
-                            obs::Trace* trace, const Deadline* deadline) {
+ServedAnswerPtr EngineHost::SolveOnDemand(const VoiceQuery& query,
+                                          obs::Trace* trace,
+                                          const Deadline* deadline) {
   // The thread-share slot is taken before any work: a host over its
-  // on-demand quota parks its runner here, off-CPU (the worker thread
-  // itself stays occupied -- see HostOptions::max_concurrent_solves), for at
-  // most the runner's remaining budget.
+  // on-demand quota parks the request here, off-CPU (its worker thread
+  // stays occupied -- see HostOptions::max_concurrent_solves), for at most
+  // the request's remaining budget.
   size_t gate_span = trace ? trace->BeginSpan("gate_wait") : 0;
   SolveSlot slot(this, deadline);
   if (trace) trace->EndSpan(gate_span);
-  if (!slot.acquired()) {
-    // Solve capacity saturated past the deadline: resolve the whole batch
-    // with nullptr so every caller degrades to its store fallback now
-    // instead of queueing further behind a saturated gate.
-    for (auto& pending : batch) pending->promise.set_value(nullptr);
-    return;
-  }
-  obs::ScopedSpan batch_span(trace, "solve_batch");
-  const Table& table = engine_->table();
-  // relaxed: monotonic stats counter.
-  stats_.on_demand_passes.fetch_add(1, std::memory_order_relaxed);
-  BumpMax(&stats_.max_batch, batch.size());
+  if (!slot.acquired()) return nullptr;
 
-  // Every promise MUST resolve, whatever the solver does -- followers block
-  // on them (nullptr means "fall back to the most specific stored speech").
-  SummarizerOptions options = summarizer_options_;
-  std::vector<std::vector<uint32_t>> rows;
-  bool shared_ok = true;
+  // Chaos hook: a failure sends the caller to its store fallback; a delay
+  // simulates a slow solve and drives deadline-expiry degradation.
+  if (fault::Injected(fault::kSolveBatch)) return nullptr;
   try {
-    // Chaos hook: a failure here exercises the whole-batch failure path
-    // (every caller falls back); a delay simulates a slow shared scan and
-    // drives deadline-expiry degradation.
-    if (fault::Injected(fault::kSolveBatch)) {
-      throw std::runtime_error("fault injected: solve.batch");
+    Stopwatch watch;
+    // relaxed: monotonic stats counter and a flag that only goes 0 -> 1.
+    stats_.on_demand_passes.fetch_add(1, std::memory_order_relaxed);
+    stats_.max_batch.store(1, std::memory_order_relaxed);
+    size_t slice_span = trace ? trace->BeginSpan("slice") : 0;
+    auto instance = engine_->Merge(query.target_index)
+                        .Slice(query.predicates, summarizer_options_.instance);
+    if (trace) trace->EndSpan(slice_span);
+    if (!instance.ok()) return nullptr;
+
+    obs::ScopedSpan solve_span(trace, "solve");
+    auto prepared = PreparedProblem::FromInstance(std::move(instance).value(),
+                                                  summarizer_options_);
+    if (!prepared.ok()) return nullptr;
+    SummarizerOptions options = summarizer_options_;
+    options.deadline = deadline;
+    SummaryResult result = prepared.value().Run(options);
+    if (result.timed_out && result.facts.empty()) {
+      // The budget expired before even one greedy iteration finished; there
+      // is no checkpoint to render.
+      return nullptr;
     }
-    // One planner-routed pass resolves every query's row subset: selective
-    // queries are answered from the table's posting lists, the rest share a
-    // single column scan (relational/scan_planner.h).
-    // Span covers the shared row filtering plus the (once-per-target) prior.
-    obs::ScopedSpan filter_span(trace, "filter_rows");
-    std::vector<const PredicateSet*> predicate_sets;
-    predicate_sets.reserve(batch.size());
-    for (const auto& pending : batch) {
-      predicate_sets.push_back(&pending->query.predicates);
-    }
-    // Partials form: on multi-shard tables the filter fans out across the
-    // scan pool and each query's answer arrives as per-shard pieces; the
-    // merge below is the only per-query serial work left on this thread.
-    std::vector<ScanPartials> partials =
-        FilterRowsMultiPartials(table, predicate_sets);
-    rows.resize(partials.size());
-    for (size_t q = 0; q < partials.size(); ++q) {
-      rows[q] = MergeScanPartials(std::move(partials[q]));
+    solve_hist_->Record(watch.ElapsedSeconds());
+
+    Stopwatch render_watch;
+    Speech speech =
+        RenderSpeech(engine_->table(), prepared.value().instance(),
+                     prepared.value().catalog(), result, query.predicates);
+    render_hist_->Record(render_watch.ElapsedSeconds());
+    // relaxed: monotonic stats counter.
+    stats_.on_demand_summaries.fetch_add(1, std::memory_order_relaxed);
+    {
+      // Solves run concurrently on pool workers; counters are plain
+      // non-atomic fields, so the merge must hold the host's perf mutex.
+      MutexLock lock(perf_mutex_);
+      perf_ = perf_.Merged(result.counters);
     }
 
-    // The prior is shared too: under the default global-average prior every
-    // query in the batch uses the same constant, computed once per target
-    // ever (the table is immutable).
-    if (options.instance.prior_kind == PriorKind::kGlobalAverage) {
-      options.instance.prior_kind = PriorKind::kConstant;
-      options.instance.prior_value =
-          GlobalAveragePrior(batch[0]->query.target_index);
-    }
-  } catch (...) {
-    shared_ok = false;
-  }
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    PendingOnDemand& pending = *batch[i];
-    ServedAnswerPtr answer;
-    if (shared_ok) {
-      try {
-        answer = SolveOne(pending.query, rows[i], options,
-                          pending.deadline ? &*pending.deadline : nullptr);
-      } catch (...) {
-        answer = nullptr;
+    // Truncated (anytime) summaries are never learned: a persisted speech
+    // must be the full greedy result, not whatever one request's budget
+    // allowed.
+    if (options_.record_learned && !result.timed_out) {
+      MutexLock lock(learned_mutex_);
+      if (learned_keys_.insert(query.Key()).second) {
+        learned_.push_back(StoredSpeech{query, speech});
       }
     }
-    pending.promise.set_value(std::move(answer));
-  }
-}
 
-ServedAnswerPtr EngineHost::SolveOne(const VoiceQuery& query,
-                                     const std::vector<uint32_t>& rows,
-                                     const SummarizerOptions& options,
-                                     const Deadline* deadline) {
-  Stopwatch watch;
-  auto instance = BuildInstanceFromRows(engine_->table(), query.predicates,
-                                        query.target_index, rows,
-                                        options.instance);
-  if (!instance.ok()) return nullptr;
-  auto prepared =
-      PreparedProblem::FromInstance(std::move(instance).value(), options);
-  if (!prepared.ok()) return nullptr;
-  SummarizerOptions query_options = options;
-  query_options.deadline = deadline;
-  SummaryResult result = prepared.value().Run(query_options);
-  if (result.timed_out && result.facts.empty()) {
-    // The budget expired before even one greedy iteration finished; there is
-    // no checkpoint to render. nullptr sends the caller to its fallback.
+    auto answer = std::make_shared<ServedAnswer>();
+    answer->text = speech.text;
+    answer->source = AnswerSource::kOnDemand;
+    answer->answered = true;
+    answer->scaled_utility = speech.scaled_utility;
+    answer->compute_seconds = watch.ElapsedSeconds();
+    answer->degraded = result.timed_out;
+    return answer;
+  } catch (...) {
+    // Whatever the solver throws, the caller falls back to the store.
     return nullptr;
   }
-  solve_hist_->Record(watch.ElapsedSeconds());
-  Stopwatch render_watch;
-  Speech speech =
-      RenderSpeech(engine_->table(), prepared.value().instance(),
-                   prepared.value().catalog(), result, query.predicates);
-  render_hist_->Record(render_watch.ElapsedSeconds());
-  // relaxed: monotonic stats counter.
-  stats_.on_demand_summaries.fetch_add(1, std::memory_order_relaxed);
-  {
-    // Batches run concurrently on pool workers; counters are plain
-    // non-atomic fields, so the merge must hold the host's perf mutex.
-    MutexLock lock(perf_mutex_);
-    perf_ = perf_.Merged(result.counters);
-  }
-
-  // Truncated (anytime) summaries are never learned: a persisted speech must
-  // be the full greedy result, not whatever one request's budget allowed.
-  if (options_.record_learned && !result.timed_out) {
-    MutexLock lock(learned_mutex_);
-    if (learned_keys_.insert(query.Key()).second) {
-      learned_.push_back(StoredSpeech{query, speech});
-    }
-  }
-
-  auto answer = std::make_shared<ServedAnswer>();
-  answer->text = speech.text;
-  answer->source = AnswerSource::kOnDemand;
-  answer->answered = true;
-  answer->scaled_utility = speech.scaled_utility;
-  answer->compute_seconds = watch.ElapsedSeconds();
-  answer->degraded = result.timed_out;
-  return answer;
-}
-
-double EngineHost::GlobalAveragePrior(int target_index) {
-  MutexLock lock(prior_mutex_);
-  auto it = global_priors_.find(target_index);
-  if (it != global_priors_.end()) return it->second;
-  double prior = GlobalAverage(engine_->table(), target_index);
-  global_priors_.emplace(target_index, prior);
-  return prior;
 }
 
 PerfCounters EngineHost::perf() const {

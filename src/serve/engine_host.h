@@ -3,21 +3,22 @@
 // An EngineHost owns everything needed to answer requests against ONE
 // pre-built (Table, Configuration, VoiceQueryEngine) triple: classification,
 // cache lookup keyed by the engine's configuration fingerprint, in-flight
-// coalescing, store lookup, batched on-demand summarization and the
-// most-specific-speech fallback. It deliberately owns no threads and no
-// cache: the worker pool, the sharded answer cache and the coalescer are
-// injected, so a RoutingService runs many hosts -- or just one, for a
-// single-dataset deployment -- over one shared set of resources.
+// coalescing, store lookup, on-demand summarization and the
+// most-specific-speech fallback. An on-demand miss is solved like a
+// pre-processing problem: its instance is a slice of the engine's
+// whole-table merge for its target (VoiceQueryEngine::Merge). It
+// deliberately owns no threads and no cache: the worker pool, the sharded
+// answer cache and the coalescer are injected, so a RoutingService runs
+// many hosts -- or just one, for a single-dataset deployment -- over one
+// shared set of resources.
 #ifndef VQ_SERVE_ENGINE_HOST_H_
 #define VQ_SERVE_ENGINE_HOST_H_
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -34,9 +35,9 @@ namespace vq {
 namespace serve {
 
 /// Per-host behavior knobs. Every host answers a query with no exact
-/// pre-computed speech by running greedy summarization at request time, and
-/// groups concurrent such misses that share a target column into one shared
-/// pass over the table (one row scan + one prior computation per batch).
+/// pre-computed speech by running greedy summarization at request time, on
+/// a slice of the engine's merge for the query's target; concurrent misses
+/// solve independently (identical ones are coalesced into one solve).
 /// "I have no summary..." outcomes are cached too, shielding the optimizer
 /// from repeated unanswerable queries.
 struct HostOptions {
@@ -55,9 +56,9 @@ struct HostOptions {
   /// without bound (RoutingService turns this on when its registry
   /// persists).
   bool record_learned = false;
-  /// Thread share for on-demand solving: at most this many batch solves run
-  /// concurrently on this host (0 = unlimited). This caps the CPU a cold or
-  /// miss-heavy dataset's optimizer runs consume -- greedy solves are the
+  /// Thread share for on-demand solving: at most this many on-demand solves
+  /// run concurrently on this host (0 = unlimited). This caps the CPU a cold
+  /// or miss-heavy dataset's optimizer runs consume -- greedy solves are the
   /// compute-heavy path -- so neighbors' cheap requests keep getting cores.
   /// It is NOT a worker-count cap: a request waiting for a solve slot still
   /// occupies its pool worker (parked on a condition variable, off-CPU)
@@ -134,9 +135,7 @@ struct ServeResponse {
 
 /// Monotonic per-host counters. `on_demand_summaries` increments exactly
 /// once per unique query that reached the optimizer (coalescing guarantees
-/// concurrent identical misses share one run); `on_demand_passes` counts
-/// shared table scans (one per solved batch), so batching makes it grow
-/// slower than `on_demand_summaries`.
+/// concurrent identical misses share one run).
 struct HostStats {
   uint64_t requests = 0;
   uint64_t queries = 0;  ///< requests classified as data-access queries
@@ -146,9 +145,13 @@ struct HostStats {
   uint64_t store_exact_hits = 0;
   uint64_t store_fallback_hits = 0;
   uint64_t on_demand_summaries = 0;
-  uint64_t on_demand_passes = 0;  ///< shared table scans (batch solves)
-  uint64_t max_batch = 0;         ///< largest batch solved so far
-  uint64_t max_active_solves = 0; ///< peak concurrent batch solves observed
+  /// Merge slices taken: one per on-demand miss that reached the solver
+  /// (its summary may still fail, e.g. on an empty subset). This field and
+  /// `max_batch` stay only because perfbench reads them; they go when it
+  /// stops.
+  uint64_t on_demand_passes = 0;
+  uint64_t max_batch = 0;  ///< 1 once any miss reached the solver, else 0
+  uint64_t max_active_solves = 0; ///< peak concurrent on-demand solves observed
   uint64_t unanswerable = 0;
   uint64_t degraded = 0;      ///< responses served with ServeStatus::kDegraded
   uint64_t timeouts = 0;      ///< responses served with ServeStatus::kTimeout
@@ -207,10 +210,10 @@ class EngineHost {
                        ServeStatus mode = ServeStatus::kOk);
 
   /// Aggregated optimizer work counters (join/bound row visits, pruning
-  /// decisions) over every on-demand solve this host ran. Batches run
+  /// decisions) over every on-demand solve this host ran. Solves run
   /// concurrently on pool worker threads, and PerfCounters::Add is a plain
   /// non-atomic accumulate, so per-solve counters are merged under a host
-  /// mutex here -- never Add() into a shared PerfCounters from runner
+  /// mutex here -- never Add() into a shared PerfCounters from solving
   /// threads directly (the serve-tsan preset guards this path).
   PerfCounters perf() const;
 
@@ -244,26 +247,6 @@ class EngineHost {
   obs::TraceSampler& trace_sampler() { return trace_sampler_; }
 
  private:
-  /// One on-demand miss waiting for (or running) a batch solve.
-  struct PendingOnDemand {
-    VoiceQuery query;
-    std::promise<ServedAnswerPtr> promise;
-    /// Copy of the requesting thread's deadline (absent = unbounded). A copy,
-    /// not a pointer: a waiter whose budget expires abandons its future and
-    /// returns, destroying its stack Deadline while the elected runner may
-    /// still be solving this entry.
-    std::optional<Deadline> deadline;
-  };
-  /// Per-target batch queue: misses enqueue; one of them is elected runner
-  /// for ONE batch at a time, then hands runnership to a woken waiter, so no
-  /// single request's latency grows with the length of a miss burst.
-  struct TargetBatchQueue {
-    Mutex mutex;
-    CondVar cv;
-    bool running GUARDED_BY(mutex) = false;
-    std::vector<std::shared_ptr<PendingOnDemand>> waiting GUARDED_BY(mutex);
-  };
-
   /// A data-access request after the prologue: its grounded query and the
   /// cache key it is served under.
   struct GroundedRequest {
@@ -293,25 +276,19 @@ class EngineHost {
   ServedAnswerPtr ComputeAnswer(const VoiceQuery& query, obs::Trace* trace,
                                 const Deadline* deadline);
 
-  /// Entry point of the batched on-demand path. Returns nullptr when the
-  /// query could not be summarized (empty subset etc.) OR when `deadline`
-  /// ran out before a solve slot/runner got to it, so the caller can fall
-  /// back to the most specific stored speech.
+  /// Summarizes one miss on the calling thread: takes a solve slot (the
+  /// host's HostOptions::max_concurrent_solves share, waited for at most
+  /// until `deadline`), slices the engine's merge for the query's target,
+  /// then prepares, runs and renders the problem exactly as pre-processing
+  /// does. `deadline` (nullable) also truncates the greedy run (anytime
+  /// checkpoint -> degraded answer). Returns nullptr on every failure -- no
+  /// slot in time, empty subset, a truncation with zero facts, the
+  /// solve.batch fault, anything the solver throws -- so the caller can
+  /// fall back to the most specific stored speech.
   ServedAnswerPtr SolveOnDemand(const VoiceQuery& query, obs::Trace* trace,
                                 const Deadline* deadline);
 
-  /// Solves one batch of distinct same-target queries in a single shared
-  /// table pass and fulfills every promise (with nullptr on failure); never
-  /// leaves a promise unresolved. Honors the host's on-demand thread share
-  /// (HostOptions::max_concurrent_solves) by gating entry -- bounded by the
-  /// runner's `deadline` (the whole batch resolves nullptr if the slot wait
-  /// times out: under that much solve pressure, batchmates' budgets are
-  /// presumed blown too, and every caller degrades to its store fallback).
-  /// `trace` belongs to the runner request whose thread executes the batch.
-  void SolveBatch(std::vector<std::shared_ptr<PendingOnDemand>> batch,
-                  obs::Trace* trace, const Deadline* deadline);
-
-  /// RAII thread-share slot around one batch solve: blocks while the host
+  /// RAII thread-share slot around one on-demand solve: blocks while the host
   /// already runs its maximum of concurrent solves (at most the deadline's
   /// remaining budget when one is supplied), tracks the active count and the
   /// max_active_solves gauge. Check acquired() before doing gated work.
@@ -329,18 +306,6 @@ class EngineHost {
     bool acquired_ = false;
   };
 
-  /// Solves one query of a batch from its pre-filtered rows. `deadline`
-  /// (nullable) truncates the greedy run (anytime checkpoint -> degraded
-  /// answer); a truncation that produced zero facts returns nullptr.
-  ServedAnswerPtr SolveOne(const VoiceQuery& query,
-                           const std::vector<uint32_t>& rows,
-                           const SummarizerOptions& options,
-                           const Deadline* deadline);
-
-  /// The global-average prior only depends on the (immutable) table and
-  /// target, so it is computed once per target and reused by every batch.
-  double GlobalAveragePrior(int target_index);
-
   /// Fills `response` from whatever is cached under `key` -- fresh (kOk) or
   /// TTL-expired (stale, kDegraded) -- or with the apology matching
   /// `fallback_status` (kShed / kTimeout) when nothing usable is cached.
@@ -349,8 +314,6 @@ class EngineHost {
 
   /// Bumps the degraded/timeout/stale counters for a finished response.
   void RecordOutcome(const ServeResponse& response);
-
-  std::shared_ptr<TargetBatchQueue> BatchQueueFor(int target_index);
 
   std::string name_;
   const VoiceQueryEngine* engine_;
@@ -370,17 +333,10 @@ class EngineHost {
   obs::LatencyHistogram* coalesced_wait_hist_;
   obs::TraceSampler trace_sampler_;
 
-  Mutex batch_mutex_;
-  std::unordered_map<int, std::shared_ptr<TargetBatchQueue>> batch_queues_
-      GUARDED_BY(batch_mutex_);
-
   /// The solve thread share (HostOptions::max_concurrent_solves).
   Mutex gate_mutex_;
   CondVar gate_cv_;
   size_t gate_active_ GUARDED_BY(gate_mutex_) = 0;
-
-  Mutex prior_mutex_;
-  std::unordered_map<int, double> global_priors_ GUARDED_BY(prior_mutex_);
 
   mutable Mutex learned_mutex_;
   std::vector<StoredSpeech> learned_ GUARDED_BY(learned_mutex_);

@@ -80,7 +80,7 @@ struct DatasetEntry {
   /// entry's host. Only the fields explicitly set in the overrides change;
   /// every unset field keeps the fleet value -- so a policy that only caps
   /// max_concurrent_solves still inherits the fleet's negative-result TTL,
-  /// batching mode, cache quota, etc. See HostOverrides::ApplyTo.
+  /// cache quota, etc. See HostOverrides::ApplyTo.
   std::optional<HostOverrides> policy;
 };
 

@@ -81,7 +81,7 @@ RoutingService::HostSetPtr RoutingService::RebuildHosts(
     auto reuse = reusable.find(entry.get());
     if (reuse != reusable.end()) {
       // Same entry object (same generation): the host survives with its
-      // stats, batch queues and pending learned speeches intact.
+      // stats and pending learned speeches intact.
       next->slots.push_back(reuse->second);
       reusable.erase(reuse);
       continue;
@@ -664,8 +664,6 @@ void RoutingService::ExportMetrics(obs::MetricsRegistry& into) const {
                     host_stats.store_fallback_hits);
     into.SetCounter(labeled("vq_host_on_demand_summaries_total"),
                     host_stats.on_demand_summaries);
-    into.SetCounter(labeled("vq_host_on_demand_passes_total"),
-                    host_stats.on_demand_passes);
     into.SetCounter(labeled("vq_host_unanswerable_total"),
                     host_stats.unanswerable);
     into.SetCounter(labeled("vq_host_degraded_total"), host_stats.degraded);
@@ -675,8 +673,6 @@ void RoutingService::ExportMetrics(obs::MetricsRegistry& into) const {
     into.SetGauge(labeled("vq_host_active_requests"),
                   static_cast<double>(
                       slot->active_requests.load(std::memory_order_relaxed)));
-    into.SetGauge(labeled("vq_host_max_batch"),
-                  static_cast<double>(host_stats.max_batch));
     into.SetGauge(labeled("vq_host_max_active_solves"),
                   static_cast<double>(host_stats.max_active_solves));
     into.SetGauge(labeled("vq_host_pending_learned"),

@@ -15,7 +15,7 @@
 // the current host set once (wait-free), and when the registry version
 // moved -- AddDataset/RemoveDataset under live traffic -- the set is
 // rebuilt: surviving datasets keep their host objects (stats, learned
-// speeches, batch queues intact), a new dataset gets a freshly built host
+// speeches intact), a new dataset gets a freshly built host
 // honoring its per-dataset policy, and a removed dataset's host drains its
 // pending learned speeches to the registry and has its cache keys purged by
 // fingerprint. In-flight requests dispatched from an older set hold it by

@@ -35,6 +35,9 @@ namespace fault {
 inline constexpr const char* kSnapshotLoad = "snapshot.load";
 inline constexpr const char* kAtomicWrite = "file.atomic_write";
 inline constexpr const char* kPoolSubmit = "pool.submit";
+/// Hit once per on-demand solve, after its solve slot is taken; a failure
+/// sends the request to its store fallback. The name predates the removal
+/// of batched solves and is kept so existing VQ_FAULTS specs still apply.
 inline constexpr const char* kSolveBatch = "solve.batch";
 
 /// What an armed point does on each hit.

@@ -34,7 +34,7 @@
 //      cache owners_mutex_ and Shard::mutex are never held together (the
 //      owner account is resolved before Put takes its shard lock), and no
 //      two Shard::mutex instances ever nest.
-//      host batch / gate / prior / perf mutexes: leaves, never nested.
+//      host gate / perf mutexes: leaves, never nested.
 //
 //  - Escapes:   NO_THREAD_SAFETY_ANALYSIS is allowed ONLY with a written
 //               invariant comment explaining why the analysis cannot see

@@ -1,6 +1,6 @@
 // Concurrent aggregation of optimizer work counters in EngineHost.
 //
-// Batched on-demand solves run on many pool threads; each solve merges its
+// On-demand solves run on many pool threads; each solve merges its
 // SummaryResult counters into the host under the perf mutex. This test
 // hammers that path from concurrent submitters -- the serve-tsan preset
 // runs it under ThreadSanitizer, which is what actually proves the merge is
@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "storage/datasets.h"
+#include "testing/status_ledger.h"
 
 namespace vq {
 namespace serve {
@@ -72,21 +74,46 @@ TEST(PerfCountersTest, MergedSumsWithoutMutatingOperands) {
   });
 }
 
-TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
-  Configuration config;
-  config.table = "flights";
-  config.dimensions = {"airline"};
-  config.targets = {"cancelled"};
-  config.max_query_predicates = 1;
-  DatasetRegistry registry;
-  ASSERT_TRUE(registry
-                  .AddDataset("flights", MakeFlightsTable(/*rows=*/600, /*seed=*/7),
-                              config)
-                  .ok());
+/// A flights dataset behind an 8-worker router. Every response a test gets
+/// back is tallied by status, and TearDown reconciles the tally with the
+/// router's own counters.
+class EngineHostPerfCountersTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Configuration config;
+    config.table = "flights";
+    config.dimensions = {"airline"};
+    config.targets = {"cancelled"};
+    config.max_query_predicates = 1;
+    ASSERT_TRUE(registry_
+                    .AddDataset("flights",
+                                MakeFlightsTable(/*rows=*/600, /*seed=*/7), config)
+                    .ok());
+    RouterOptions options;
+    options.num_threads = 8;
+    router_ = std::make_unique<RoutingService>(&registry_, options);
+  }
 
+  void TearDown() override {
+    if (router_ == nullptr) return;
+    router_->Drain();
+    ledger_.ExpectMatches(router_->stats());
+  }
+
+  RoutedResponse Tally(RoutedResponse routed) {
+    ledger_.Add(routed.response.status);
+    return routed;
+  }
+
+  DatasetRegistry registry_;
+  std::unique_ptr<RoutingService> router_;
+  testing::StatusLedger ledger_;
+};
+
+TEST_F(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
   // Months are outside the configuration, so every request below misses the
-  // store and reaches the batched on-demand optimizer.
-  const Table& table = *registry.table("flights");
+  // store and reaches the on-demand optimizer.
+  const Table& table = *registry_.table("flights");
   std::vector<std::string> requests;
   const Dictionary& months =
       table.dict(static_cast<size_t>(table.DimIndex("month")));
@@ -95,9 +122,7 @@ TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
   }
   ASSERT_GE(requests.size(), 4u);
 
-  RouterOptions options;
-  options.num_threads = 8;
-  RoutingService router(&registry, options);
+  RoutingService& router = *router_;
   const EngineHost& host = *router.host("flights");
   EXPECT_EQ(host.perf().join_rows, 0u);
 
@@ -107,7 +132,7 @@ TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
   }
   size_t answered = 0;
   for (auto& future : futures) {
-    if (future.get().response.answered) ++answered;
+    if (Tally(future.get()).response.answered) ++answered;
   }
   EXPECT_EQ(answered, futures.size());
 
@@ -121,7 +146,7 @@ TEST(EngineHostPerfCountersTest, ConcurrentOnDemandSolvesMergeUnderMutex) {
 
   // A warm replay adds no optimizer work: the aggregate is monotone and
   // only grows on actual solves.
-  for (const auto& request : requests) (void)router.AnswerNow(request);
+  for (const auto& request : requests) Tally(router.AnswerNow(request));
   PerfCounters after = host.perf();
   EXPECT_EQ(after.join_rows, perf.join_rows);
   EXPECT_EQ(after.groups_joined, perf.groups_joined);

@@ -307,6 +307,36 @@ TEST_F(OneDatasetRouterTest, ConcurrentIdenticalMissesSummarizeExactlyOnce) {
   EXPECT_EQ(router_->coalescer().InFlight(), 0u);
 }
 
+TEST_F(OneDatasetRouterTest, ConcurrentDistinctMissesMatchInlineAnswers) {
+  // Region queries are outside the season-only configuration, so each
+  // distinct request is an on-demand miss of the one target. Four workers
+  // solve them at once, the first of them building the engine's merge; each
+  // answer must equal the one a second router gives answering inline.
+  RouterOptions options;
+  options.num_threads = 4;
+  Start(RunningExampleConfig({"season"}), options);
+  const std::vector<std::string> requests = {
+      "delays in the North", "delays in the South", "delays in the East",
+      "delays in the West"};
+
+  std::vector<std::future<RoutedResponse>> futures;
+  for (const auto& request : requests) futures.push_back(router_->Submit(request));
+  std::vector<std::string> got;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    RoutedResponse routed = Collect(futures[i]);
+    EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << requests[i];
+    got.push_back(routed.response.text);
+  }
+  EXPECT_EQ(host().stats().on_demand_summaries, requests.size());
+
+  RoutingService inline_router(&registry_);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    RoutedResponse routed = inline_router.AnswerNow(requests[i]);
+    EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << requests[i];
+    EXPECT_EQ(routed.response.text, got[i]) << requests[i];
+  }
+}
+
 TEST(RoutingIsolationTest, IdenticalQueryTextIsolatedByFingerprint) {
   // Two datasets over the SAME table and vocabulary but different
   // configurations: identical query text must produce distinct cache keys
@@ -380,59 +410,6 @@ TEST(RoutingIsolationTest, IdenticalConfigurationsStillIsolatedByHostName) {
   EXPECT_TRUE(b.answered);
   EXPECT_FALSE(b.cache_hit) << "second host must not see first host's entry";
   EXPECT_EQ(router.cache().size(), 2u);
-}
-
-TEST(RoutingBatchTest, ConcurrentDistinctMissesAreBatchedAndCorrect) {
-  // Region queries are outside the season-only configuration, so each
-  // distinct request needs on-demand summarization. Batching must group
-  // concurrent misses without changing any answer.
-  Configuration config;
-  config.table = "running_example";
-  config.dimensions = {"season"};
-  config.targets = {"delay"};
-  config.prior = PriorKind::kZero;
-
-  DatasetRegistry registry;
-  ASSERT_TRUE(registry.RegisterGenerated("re", config, 16, kSeed).ok());
-
-  const std::vector<std::string> requests = {
-      "delay in the North", "delay in the South", "delay in the East",
-      "delay in the West"};
-
-  // Expected texts answered one at a time: with one request in flight,
-  // every batch holds exactly one query.
-  std::vector<std::string> expected;
-  {
-    RoutingService router(&registry);
-    for (const auto& request : requests) {
-      RoutedResponse routed = router.AnswerNow(request);
-      EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << request;
-      expected.push_back(routed.response.text);
-    }
-    HostStats stats = router.host("re")->stats();
-    // Sequential: one pass per on-demand query.
-    EXPECT_EQ(stats.on_demand_passes, requests.size());
-    EXPECT_EQ(stats.max_batch, 1u);
-    EXPECT_EQ(stats.on_demand_summaries, requests.size());
-  }
-
-  RouterOptions batched;
-  batched.num_threads = 4;
-  RoutingService router(&registry, batched);
-  std::vector<std::future<RoutedResponse>> futures;
-  for (const auto& request : requests) futures.push_back(router.Submit(request));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    RoutedResponse routed = futures[i].get();
-    EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand) << requests[i];
-    EXPECT_EQ(routed.response.text, expected[i]) << requests[i];
-  }
-  HostStats stats = router.host("re")->stats();
-  EXPECT_EQ(stats.on_demand_summaries, requests.size());
-  // Batching can only reduce the pass count (how much is timing-dependent;
-  // the router bench pins a concurrency level and verifies the reduction).
-  EXPECT_LE(stats.on_demand_passes, requests.size());
-  EXPECT_GE(stats.on_demand_passes, 1u);
-  EXPECT_GE(stats.max_batch, 1u);
 }
 
 TEST(RoutingSharedVocabularyTest, FourThreadSubmitMatchesInlineAnswers) {

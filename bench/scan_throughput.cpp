@@ -1,24 +1,15 @@
-// Indexed-scan subsystem throughput: (1) filter latency of the planner's
-// posting-list path versus the seed row-at-a-time full scan and the
-// vectorized column-scan fallback, over predicate sets of varying
-// selectivity; (2) evaluator speech evaluations/sec, bitset-vectorized
-// versus the retained row-at-a-time reference; (3) end-to-end routed qps at
-// 4 threads on the BENCH_router warm workload shape, compared against the
-// qps recorded in BENCH_router.json (the pre-refactor baseline when that
-// file predates this bench's rerun).
-//
-// Since the sharded-storage refactor it also records the rows x threads
-// scaling curve (1M/10M/50M rows, 1/4/16-thread pools injected through
-// ScanPlannerOptions::pool) for the selective conjunction, with per-call
-// p50/p99 latency and the speedup over the 1-thread pool -- the numbers the
-// check_scan_regression cmake target gates on. VQ_SCAN_SCALE_MAX_ROWS caps
-// the curve's table sizes for quick local runs (the gate runs it in full).
+// Indexed-scan subsystem throughput: (1) filter latency of FilterRows
+// (posting-list intersection or column scan, by the planner's fixed rule)
+// versus the seed row-at-a-time full scan and the column-scan path, over
+// predicate sets of varying selectivity; (2) evaluator speech
+// evaluations/sec, bitset-vectorized versus the retained row-at-a-time
+// reference; (3) end-to-end routed qps at 4 threads on the BENCH_router warm
+// workload shape, compared against the qps recorded in BENCH_router.json.
+// The check_scan_regression cmake target gates the filter latencies.
 //
 // Emits a machine-readable JSON report (default BENCH_scan.json, override
 // with VQ_BENCH_OUT). Exits non-zero if the selective-filter speedup falls
-// under 5x, the routed qps regresses by more than 15%, or -- on machines
-// with >= 16 hardware threads -- the 16-thread pool fails to reach 4x over
-// the 1-thread pool on the 10M-row table.
+// under 5x or the routed qps regresses by more than 15%.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,10 +25,8 @@
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "util/json.h"
-#include "util/stats.h"
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -149,109 +138,6 @@ int main() {
               table.NumRows());
   filter_printer.Print();
 
-  // The FilterRows calls above trained the postings side of the process-wide
-  // planner statistics; these cases all plan postings, so observe the scan
-  // side explicitly (a few forced-scan executions of the selective
-  // conjunction) -- with both EWMAs populated the reported factor is the
-  // learned ratio, not the fallback.
-  {
-    vq::ScanPlannerOptions train;
-    train.force_scan = true;
-    train.stats = &vq::GlobalScanStats();
-    for (int i = 0; i < 32; ++i) {
-      (void)vq::PlannedFilterRows(table, cases[1].predicates, train);
-    }
-  }
-  const vq::ScanStats& scan_stats = vq::GlobalScanStats();
-  std::printf(
-      "Planner stats: cost_factor %.2f (default 4.0), postings %.1f ns/row "
-      "(%llu samples), scan %.1f ns/row (%llu samples)\n",
-      scan_stats.CostFactor(4.0), scan_stats.postings_ns_per_row(),
-      static_cast<unsigned long long>(scan_stats.postings_samples()),
-      scan_stats.scan_ns_per_row(),
-      static_cast<unsigned long long>(scan_stats.scan_samples()));
-
-  // ---- Sharded-scan scaling: rows x threads on the selective conjunction.
-  // Each table size is built fresh under the default shard policy (one shard
-  // per 2^20 rows, so 1M rows stays a single shard and shows the sequential
-  // floor), the pool is injected so fan-out width is the only variable, and
-  // per-call latencies feed the p50/p99 columns. Entries are rows-major:
-  // index 5 is the (10M rows, 16 threads) point check_scan_regression gates.
-  std::vector<size_t> scale_sizes = {1'000'000, 10'000'000, 50'000'000};
-  if (const char* cap_env = std::getenv("VQ_SCAN_SCALE_MAX_ROWS")) {
-    size_t cap = static_cast<size_t>(std::strtoull(cap_env, nullptr, 10));
-    while (scale_sizes.size() > 1 && scale_sizes.back() > cap) scale_sizes.pop_back();
-  }
-  const size_t scale_thread_counts[] = {1, 4, 16};
-  unsigned hardware_threads = std::thread::hardware_concurrency();
-  vq::TablePrinter scale_printer(
-      {"Rows", "Shards", "Threads", "Plan", "p50 (us)", "p99 (us)", "vs 1t"});
-  vq::Json scaling_json = vq::Json::Array();
-  bool scaling_ok = true;
-  for (size_t scale_rows : scale_sizes) {
-    vq::Table scale_table = vq::MakeFlightsTable(scale_rows, kSeed);
-    size_t num_shards = scale_table.index().num_shards();
-    vq::PredicateSet selective = {
-        vq::EqPredicate{scale_table.DimIndex("origin_state"), 3},
-        vq::EqPredicate{scale_table.DimIndex("month"), 1}};
-    if (!vq::NormalizePredicates(&selective).ok()) return 1;
-    vq::ScanPlan scale_plan = vq::PlanScan(scale_table, selective);
-    std::vector<uint32_t> one_thread_rows;
-    double p50_1t = 0.0;
-    for (size_t threads : scale_thread_counts) {
-      vq::ThreadPool scale_pool(threads);
-      vq::ScanPlannerOptions scale_options;
-      scale_options.pool = &scale_pool;
-      std::vector<uint32_t> got =
-          vq::PlannedFilterRows(scale_table, selective, scale_options);
-      if (threads == 1) {
-        one_thread_rows = std::move(got);
-      } else if (got != one_thread_rows) {
-        std::fprintf(stderr, "FATAL: %zu-thread scan differs at %zu rows\n",
-                     threads, scale_rows);
-        return 1;
-      }
-      std::vector<double> samples;
-      vq::Stopwatch scale_watch;
-      do {
-        vq::Stopwatch call_watch;
-        (void)vq::PlannedFilterRows(scale_table, selective, scale_options);
-        samples.push_back(call_watch.ElapsedSeconds() * 1e6);
-      } while (samples.size() < 8 ||
-               (scale_watch.ElapsedSeconds() < 0.2 && samples.size() < 64));
-      double p50_us = vq::Quantile(samples, 0.5);
-      double p99_us = vq::Quantile(samples, 0.99);
-      if (threads == 1) p50_1t = p50_us;
-      double thread_speedup = p50_us > 0.0 ? p50_1t / p50_us : 0.0;
-      if (scale_rows == 10'000'000 && threads == 16 && hardware_threads >= 16 &&
-          thread_speedup < 4.0) {
-        scaling_ok = false;
-      }
-      char p50_buf[32], p99_buf[32], speedup_buf[32];
-      std::snprintf(p50_buf, sizeof(p50_buf), "%.1f", p50_us);
-      std::snprintf(p99_buf, sizeof(p99_buf), "%.1f", p99_us);
-      std::snprintf(speedup_buf, sizeof(speedup_buf), "%.2fx", thread_speedup);
-      scale_printer.AddRow({std::to_string(scale_rows), std::to_string(num_shards),
-                            std::to_string(threads),
-                            vq::ScanStrategyName(scale_plan.strategy), p50_buf,
-                            p99_buf, speedup_buf});
-      vq::Json entry = vq::Json::Object();
-      entry.Set("rows", vq::Json::Int(static_cast<int64_t>(scale_rows)));
-      entry.Set("shards", vq::Json::Int(static_cast<int64_t>(num_shards)));
-      entry.Set("threads", vq::Json::Int(static_cast<int64_t>(threads)));
-      entry.Set("plan", vq::Json::Str(vq::ScanStrategyName(scale_plan.strategy)));
-      entry.Set("rows_out",
-                vq::Json::Int(static_cast<int64_t>(one_thread_rows.size())));
-      entry.Set("p50_us", vq::Json::Number(p50_us));
-      entry.Set("p99_us", vq::Json::Number(p99_us));
-      entry.Set("speedup_vs_1t", vq::Json::Number(thread_speedup));
-      scaling_json.Append(std::move(entry));
-    }
-  }
-  std::printf("Sharded-scan scaling (selective conjunction, %u hardware threads):\n",
-              hardware_threads);
-  scale_printer.Print();
-
   // ---- Evaluator: bitset-vectorized speech evaluation vs the reference.
   vq::SummarizerOptions options;
   options.max_fact_dims = 2;
@@ -358,20 +244,9 @@ int main() {
   report.Set("bench", vq::Json::Str("scan_throughput"));
   report.Set("seed", vq::Json::Int(static_cast<int64_t>(kSeed)));
   report.Set("table_rows", vq::Json::Int(static_cast<int64_t>(table.NumRows())));
-  report.Set("hardware_threads", vq::Json::Int(static_cast<int64_t>(hardware_threads)));
+  report.Set("hardware_threads",
+             vq::Json::Int(static_cast<int64_t>(std::thread::hardware_concurrency())));
   report.Set("filters", std::move(filter_json));
-  report.Set("scaling", std::move(scaling_json));
-  vq::Json planner_json = vq::Json::Object();
-  planner_json.Set("learned_cost_factor", vq::Json::Number(scan_stats.CostFactor(4.0)));
-  planner_json.Set("default_cost_factor", vq::Json::Number(4.0));
-  planner_json.Set("postings_ns_per_row",
-                   vq::Json::Number(scan_stats.postings_ns_per_row()));
-  planner_json.Set("scan_ns_per_row", vq::Json::Number(scan_stats.scan_ns_per_row()));
-  planner_json.Set("postings_samples",
-                   vq::Json::Int(static_cast<int64_t>(scan_stats.postings_samples())));
-  planner_json.Set("scan_samples",
-                   vq::Json::Int(static_cast<int64_t>(scan_stats.scan_samples())));
-  report.Set("planner_stats", std::move(planner_json));
   vq::Json eval = vq::Json::Object();
   eval.Set("instance_rows",
            vq::Json::Int(static_cast<int64_t>(evaluator.instance().num_rows)));
@@ -390,7 +265,7 @@ int main() {
   routed.Set("baseline_qps", vq::Json::Number(baseline_qps));
   routed.Set("qps_delta_pct", vq::Json::Number(qps_delta_pct));
   report.Set("routed", std::move(routed));
-  bool ok = selective_speedup >= 5.0 && scaling_ok &&
+  bool ok = selective_speedup >= 5.0 &&
             (baseline_qps == 0.0 || qps_delta_pct > -15.0);
   report.Set("ok", vq::Json::Bool(ok));
 

@@ -54,8 +54,8 @@ Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
   // Every problem's slice walks the table's posting lists; building the
   // inverted index once up front keeps the first wave of parallel solves
   // from serializing on the lazy build. On a multi-shard (paper-scale) table
-  // the build itself fans shard builds across the scan pool, which is
-  // deliberately distinct from options.pool. Warmed even with zero generated
+  // the build itself runs shard builds on SharedPool() (util/thread_pool.h),
+  // with this thread building shards too. Warmed even with zero generated
   // queries: pre-processing is the dynamic registry's last step before a
   // dataset becomes routable, and the serving layer's first on-demand miss
   // hits the index immediately. Touching the SIMD kernel table latches the

@@ -36,7 +36,7 @@ struct PreprocessOptions {
   /// thread solves the heaviest problems (by estimated scope entries) and up
   /// to pool->NumThreads() tasks the lightest; the store and stats are
   /// identical to a sequential run. DatasetRegistry::AddDataset fills in
-  /// its process-wide pre-processing pool when this is nullptr.
+  /// SharedPool() when this is nullptr.
   ThreadPool* pool = nullptr;
 };
 

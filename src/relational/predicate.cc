@@ -42,34 +42,7 @@ bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates) 
 }
 
 std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
-  // Planner-routed since the indexed-scan refactor: posting-list
-  // intersection when selective, vectorized column scan otherwise. Both
-  // paths return exactly what the seed row-at-a-time loop returned. The
-  // funnel feeds the planner statistics -- the table's own model once warm,
-  // the process-wide one as the cold-start fallback -- so the
-  // postings-vs-scan threshold adapts to observed costs without tables of
-  // very different row counts skewing each other (plan changes never change
-  // results, only which identical-output path runs).
-  ScanPlannerOptions options;
-  options.stats = &GlobalScanStats();
-  options.per_table_stats = true;
-  return PlannedFilterRows(table, predicates, options);
-}
-
-std::vector<std::vector<uint32_t>> FilterRowsMulti(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets) {
-  ScanPlannerOptions options;
-  options.stats = &GlobalScanStats();
-  options.per_table_stats = true;
-  return PlannedFilterRowsMulti(table, predicate_sets, options);
-}
-
-std::vector<ScanPartials> FilterRowsMultiPartials(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets) {
-  ScanPlannerOptions options;
-  options.stats = &GlobalScanStats();
-  options.per_table_stats = true;
-  return PlannedFilterRowsMultiPartials(table, predicate_sets, options);
+  return MergeScanPartials(FilterRowsPartials(table, predicates));
 }
 
 bool IsSubsetOf(const PredicateSet& subset, const PredicateSet& superset) {

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "relational/scan_partial.h"
 #include "storage/table.h"
 #include "util/status.h"
 
@@ -37,23 +36,9 @@ Status NormalizePredicates(PredicateSet* predicates);
 /// True if `row` of `table` satisfies every predicate.
 bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates);
 
-/// Row ids of all rows satisfying the conjunction (the sigma operator).
+/// Row ids of all rows satisfying the conjunction (the sigma operator),
+/// ascending; planned from the table's index (relational/scan_planner.h).
 std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates);
-
-/// Filters many predicate sets in ONE shared pass over the table: out[i]
-/// holds the row ids matching `predicate_sets[i]`. Equivalent to calling
-/// FilterRows once per set, but the table is scanned a single time -- the
-/// serving layer's batched on-demand path groups concurrent misses on the
-/// same target and resolves their subsets here.
-std::vector<std::vector<uint32_t>> FilterRowsMulti(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets);
-
-/// FilterRowsMulti without the final merge: out[i][s] is predicate set i's
-/// answer on shard s (see relational/scan_partial.h for the id contract).
-/// Consumers that iterate rows anyway -- the serving layer's batch solves --
-/// take this form and merge (or stream) the partials themselves.
-std::vector<ScanPartials> FilterRowsMultiPartials(
-    const Table& table, const std::vector<const PredicateSet*>& predicate_sets);
 
 /// True if `subset` is contained in `superset` (predicate-set inclusion,
 /// used by the runtime's most-specific-summary lookup: S is a subset of Q).

@@ -1,11 +1,8 @@
 // Shard-local partial results of a conjunctive filter.
 //
-// The sharded scan planner answers a filter per shard and merges afterwards;
-// ScanPartial is that per-shard unit as a first-class, composable value so
-// downstream layers can consume shard results before (or instead of) the
-// merge -- the serving layer's batch solves do, and the planned incremental
-// ingest path (ROADMAP item 3) will compose delta-shard partials with main
-// ones the same way.
+// The scan planner answers a filter shard by shard and merges afterwards;
+// ScanPartial is that per-shard unit, returned unmerged by
+// FilterRowsPartials / FilterRowsMultiPartials (relational/scan_planner.h).
 //
 // Contract: `rows` holds SHARD-LOCAL row ids, strictly ascending; the global
 // id of entry k is `base + rows[k]`. A full result set is a vector of
@@ -16,7 +13,6 @@
 #ifndef VQ_RELATIONAL_SCAN_PARTIAL_H_
 #define VQ_RELATIONAL_SCAN_PARTIAL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,12 +28,6 @@ struct ScanPartial {
 
 /// A filter answer as per-shard partials, ascending by shard ordinal.
 using ScanPartials = std::vector<ScanPartial>;
-
-/// Total matching rows across all partials.
-size_t TotalRows(const ScanPartials& partials);
-
-/// Appends `partial`'s rows to `out` as global ids (base + local).
-void AppendGlobalRows(const ScanPartial& partial, std::vector<uint32_t>* out);
 
 /// Flattens partials (ascending shard order) into one globally ascending row
 /// id vector. Takes the partials by value: the single-shard case -- every

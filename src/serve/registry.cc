@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "serve/answer.h"
@@ -22,20 +21,6 @@ Result<std::string> ReadFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-/// The pool AddDataset pre-processes on when its options name none: one for
-/// every registry, since the calling thread solves problems too and
-/// cores - 1 workers fill the host; nullptr on a single core. Never
-/// destroyed, like ScanPool() (an AddDataset may still run on it while
-/// static destructors do), and kept apart from ScanPool(): the solves'
-/// filters fan out on that pool and wait for it.
-ThreadPool* SharedPreprocessPool() {
-  static ThreadPool* pool = []() -> ThreadPool* {
-    unsigned cores = std::thread::hardware_concurrency();
-    return cores > 1 ? new ThreadPool(cores - 1) : nullptr;
-  }();
-  return pool;
 }
 
 }  // namespace
@@ -109,7 +94,7 @@ Status DatasetRegistry::AddDataset(const std::string& name, Table table,
   entry->table = std::make_unique<Table>(std::move(table));
   entry->policy = std::move(policy);
   PreprocessOptions preprocess = options;
-  if (preprocess.pool == nullptr) preprocess.pool = SharedPreprocessPool();
+  if (preprocess.pool == nullptr) preprocess.pool = SharedPool();
   auto built =
       VoiceQueryEngine::Build(entry->table.get(), std::move(config), preprocess);
   if (!built.ok()) return built.status();
@@ -133,10 +118,6 @@ Status DatasetRegistry::AddDataset(const std::string& name, Table table,
   metrics_->GetCounter("vq_registry_adds_total")->Increment();
   add_hist_->Record(watch.ElapsedSeconds());
   return Status::OK();
-}
-
-ThreadPool* DatasetRegistry::PreprocessPoolForTesting() {
-  return SharedPreprocessPool();
 }
 
 Status DatasetRegistry::PublishEntry(std::shared_ptr<DatasetEntry> entry) {

@@ -129,12 +129,11 @@ class DatasetRegistry {
   /// entry becomes visible, so concurrent readers never observe a
   /// half-built dataset; may be called while routing services are serving
   /// from this registry. Pre-processing runs on `options.pool` when set;
-  /// otherwise on the calling thread plus one process-wide pool of
-  /// hardware_concurrency() - 1 workers shared by every registry, created
-  /// by the first AddDataset that needs it (none on a single core:
-  /// sequential). Either way the store and its utility sums are identical
-  /// to a sequential run. Safe to call from a task running on that pool:
-  /// the caller never waits for a pool task that has not started.
+  /// otherwise on the calling thread plus SharedPool() (util/thread_pool.h;
+  /// none on a single core: sequential). Either way the store and its
+  /// utility sums are identical to a sequential run. Safe to call from a
+  /// task running on that pool: the caller never waits for a pool task
+  /// that has not started.
   Status AddDataset(const std::string& name, Table table, Configuration config,
                     const PreprocessOptions& options = {},
                     std::optional<HostOverrides> policy = std::nullopt,
@@ -246,11 +245,6 @@ class DatasetRegistry {
 
   /// Path of the learned file for `name` (valid even before it exists).
   std::string LearnedPath(const std::string& name) const;
-
-  /// The process-wide pool AddDataset pre-processes on when its options
-  /// name none (created by the first call; nullptr on a single core), for
-  /// tests that run AddDataset on that pool's own workers.
-  static ThreadPool* PreprocessPoolForTesting();
 
  private:
   /// Swaps in `next` as the current snapshot.

@@ -601,8 +601,8 @@ void RoutingService::ExportMetrics(obs::MetricsRegistry& into) const {
 
   // Pool saturation gauges: queue depth is THE early-warning signal for
   // overload (latency histograms only confirm it after the damage). The
-  // solve pool is this router's worker pool; the scan pool is the process
-  // global used by parallel filter scans.
+  // solve pool is this router's worker pool; the shared pool is the
+  // process-wide one index builds and AddDataset pre-process on.
   auto pool_gauges = [&into](const char* pool_name, const ThreadPool& pool) {
     auto labeled = [pool_name](const char* name) {
       return obs::MetricsRegistry::WithLabel(name, "pool", pool_name);
@@ -615,7 +615,7 @@ void RoutingService::ExportMetrics(obs::MetricsRegistry& into) const {
                   static_cast<double>(pool.NumThreads()));
   };
   pool_gauges("solve", pool_);
-  pool_gauges("scan", ScanPool());
+  if (const ThreadPool* shared = SharedPool()) pool_gauges("shared", *shared);
 
   CacheStats cache_stats = cache_.TotalStats();
   into.SetCounter("vq_cache_hits_total", cache_stats.hits);

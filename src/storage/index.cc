@@ -32,9 +32,9 @@ TableIndex TableIndex::Build(const Table& table) {
     index.shards_[s].ordinal_ = static_cast<uint32_t>(s);
   };
   // Shard builds are independent single-writer jobs: fan them out on the
-  // scan pool at paper scale. The calling thread builds shards too, so a
-  // build already running on a scan-pool worker cannot deadlock the pool.
-  ParallelFor(&ScanPool(), num_shards, build_shard);
+  // shared pool at paper scale. The calling thread builds shards too, so a
+  // build already running on a pool worker cannot deadlock the pool.
+  ParallelFor(SharedPool(), num_shards, build_shard);
 
   // Merge the per-shard aggregates so table-level Count/TargetSum stay O(1).
   index.merged_counts_.resize(num_dims);
@@ -53,13 +53,6 @@ TableIndex TableIndex::Build(const Table& table) {
     }
     index.merged_counts_[d].Assign(std::move(counts));
     index.merged_sums_[d].Assign(std::move(sums));
-  }
-
-  index.last_worker_ =
-      std::make_unique<std::atomic<uint32_t>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    // relaxed: affinity hints; a stale value only costs locality.
-    index.last_worker_[s].store(kNoWorker, std::memory_order_relaxed);
   }
 
   // Builds are rare (registration, first lazy warm) but expensive and
@@ -81,8 +74,7 @@ TableIndex TableIndex::FromParts(size_t num_rows, size_t num_targets,
   index.num_rows_ = num_rows;
   index.num_targets_ = num_targets;
   index.shards_ = std::move(shards);
-  size_t num_shards = index.shards_.size();
-  for (size_t s = 0; s < num_shards; ++s) {
+  for (size_t s = 0; s < index.shards_.size(); ++s) {
     index.shards_[s].ordinal_ = static_cast<uint32_t>(s);
   }
   index.merged_counts_.resize(merged.size());
@@ -90,11 +82,6 @@ TableIndex TableIndex::FromParts(size_t num_rows, size_t num_targets,
   for (size_t d = 0; d < merged.size(); ++d) {
     index.merged_counts_[d] = ColumnStorage<uint32_t>::View(merged[d].counts);
     index.merged_sums_[d] = ColumnStorage<double>::View(merged[d].sums);
-  }
-  index.last_worker_ = std::make_unique<std::atomic<uint32_t>[]>(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    // relaxed: affinity hints; a stale value only costs locality.
-    index.last_worker_[s].store(kNoWorker, std::memory_order_relaxed);
   }
   return index;
 }
@@ -104,8 +91,6 @@ size_t TableIndex::EstimateBytes() const {
   for (const ShardIndex& shard : shards_) bytes += shard.EstimateBytes();
   for (const auto& counts : merged_counts_) bytes += counts.CapacityBytes();
   for (const auto& sums : merged_sums_) bytes += sums.CapacityBytes();
-  bytes += shards_.size() * sizeof(std::atomic<uint32_t>);
-  bytes += sizeof(ScanStats);
   return bytes;
 }
 

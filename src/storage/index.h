@@ -3,26 +3,22 @@
 // Since the sharded-storage refactor the real index state lives in
 // ShardIndex (storage/shard.h): a table's rows are split into contiguous
 // shards of ~Table::TargetShardRows() rows, each owning CSR-packed posting
-// lists (shard-local row ids), per-(dim,value) counts/target-sums and its
-// own ScanStats. TableIndex builds and owns that shard vector plus merged
-// per-(dim,value) aggregates, so single-predicate counts/averages stay O(1)
-// at table level regardless of shard count, and conjunctive filters
-// intersect posting lists per shard (the ScanPlanner in
-// relational/scan_planner.h fans the shards across the scan pool and merges
-// the partial results). The index is built once per table and is immutable
-// after construction; Table owns one lazily (see Table::index()).
+// lists (shard-local row ids) and per-(dim,value) counts/target-sums.
+// TableIndex builds and owns that shard vector plus merged per-(dim,value)
+// aggregates, so single-predicate counts/averages stay O(1) at table level
+// regardless of shard count, and conjunctive filters intersect posting
+// lists per shard (relational/scan_planner.h merges the partial results).
+// The index is built once per table and is immutable after construction;
+// Table owns one lazily (see Table::index()).
 #ifndef VQ_STORAGE_INDEX_H_
 #define VQ_STORAGE_INDEX_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "storage/shard.h"
-#include "util/scan_stats.h"
 
 namespace vq {
 
@@ -40,7 +36,7 @@ using ValueId = uint32_t;
 class TableIndex {
  public:
   /// Builds the index for `table`: one ShardIndex per ~TargetShardRows()
-  /// rows (built in parallel on the scan pool when there are several), plus
+  /// rows (built in parallel on SharedPool() when there are several), plus
   /// the merged table-level aggregates. Values interned after the build are
   /// simply absent; Table invalidates its cached index on append, so this
   /// cannot be observed through Table::index().
@@ -56,9 +52,8 @@ class TableIndex {
 
   /// Zero-copy counterpart of Build: adopts pre-built shards (themselves
   /// ShardIndex::FromViews products) and merged aggregates without touching
-  /// a row. Shard ordinals are (re)assigned in vector order; affinity hints
-  /// and scan stats start fresh, exactly as after a cold Build in a new
-  /// process. The caller pins the buffer behind every span.
+  /// a row. Shard ordinals are (re)assigned in vector order. The caller pins
+  /// the buffer behind every span.
   static TableIndex FromParts(size_t num_rows, size_t num_targets,
                               std::vector<ShardIndex> shards,
                               std::vector<MergedViews> merged);
@@ -119,33 +114,6 @@ class TableIndex {
   /// Approximate heap footprint (counted by Table::EstimateBytes).
   size_t EstimateBytes() const;
 
-  /// This table's scan-planner statistics (util/scan_stats.h). Hung off the
-  /// index because the index shares its lifetime with the planner decisions
-  /// it informs: appending rows invalidates both together, so stale per-row
-  /// costs can never steer plans for a table that has changed shape. The
-  /// instance is internally atomic, hence mutable through the const index
-  /// the planner holds; heap-boxed so the index itself stays movable.
-  /// Each shard additionally owns its own instance (ShardIndex::scan_stats).
-  ScanStats& scan_stats() const { return *scan_stats_; }
-
-  /// Sentinel for shard_last_worker() before any worker has scanned a shard.
-  static constexpr uint32_t kNoWorker = static_cast<uint32_t>(-1);
-
-  /// Affinity memory for the parallel fan-out: the scan-pool worker that
-  /// last executed each shard's filter task. The planner submits the next
-  /// task for that shard with this as the placement hint, so a shard tends
-  /// to be rescanned by the worker whose cache already holds its lists.
-  /// Relaxed atomics: a stale or torn hint only costs locality, never
-  /// correctness.
-  // relaxed: a cache-affinity hint; staleness costs locality, never
-  // correctness.
-  uint32_t shard_last_worker(size_t s) const {
-    return last_worker_[s].load(std::memory_order_relaxed);
-  }
-  void set_shard_last_worker(size_t s, uint32_t worker) const {
-    last_worker_[s].store(worker, std::memory_order_relaxed);
-  }
-
  private:
   size_t num_rows_ = 0;
   size_t num_targets_ = 0;
@@ -155,10 +123,6 @@ class TableIndex {
   std::vector<ColumnStorage<uint32_t>> merged_counts_;
   /// Per dim: cardinality x num_targets sums, row-major by value.
   std::vector<ColumnStorage<double>> merged_sums_;
-  std::unique_ptr<ScanStats> scan_stats_ = std::make_unique<ScanStats>();
-  /// Per shard: last scan-pool worker (kNoWorker until first scanned).
-  /// unique_ptr<atomic[]> keeps the index movable.
-  std::unique_ptr<std::atomic<uint32_t>[]> last_worker_;
 };
 
 }  // namespace vq

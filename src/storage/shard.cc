@@ -66,7 +66,6 @@ size_t ShardIndex::EstimateBytes() const {
   for (const auto& offsets : offsets_) bytes += offsets.CapacityBytes();
   for (const auto& rows : rows_) bytes += rows.CapacityBytes();
   for (const auto& sums : target_sums_) bytes += sums.CapacityBytes();
-  bytes += sizeof(ScanStats);
   return bytes;
 }
 

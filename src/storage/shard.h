@@ -3,9 +3,7 @@
 // Since the sharded-storage refactor a table's rows are split into
 // contiguous shards of ~TargetShardRows() rows each; every shard owns the
 // full per-shard index state: CSR-packed posting lists (SHARD-LOCAL row
-// ids), per-(dim,value) row counts and target sums, and its own ScanStats
-// instance so the planner's learned costs can diverge per shard (a hot
-// shard's lists stay cached; a cold one pays DRAM). The table-level
+// ids) and per-(dim,value) row counts and target sums. The table-level
 // TableIndex (storage/index.h) is a thin facade over the shard vector plus
 // merged per-(dim,value) aggregates for the O(1) Count/TargetSum contract.
 //
@@ -18,12 +16,10 @@
 #define VQ_STORAGE_SHARD_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "storage/column.h"
-#include "util/scan_stats.h"
 
 namespace vq {
 
@@ -50,8 +46,7 @@ class ShardIndex {
   /// instead of scanning the table. The caller (storage/snapshot.cc) pins
   /// the buffer behind the spans for the shard's lifetime and guarantees
   /// the arrays satisfy the local-id invariant (they were written by a
-  /// cold Build of the same table). ScanStats start fresh -- learned costs
-  /// are a property of this process's cache behavior, not of the data.
+  /// cold Build of the same table).
   static ShardIndex FromViews(uint32_t base, uint32_t num_rows,
                               size_t num_targets,
                               std::vector<DimViews> dims);
@@ -107,13 +102,6 @@ class ShardIndex {
   /// Approximate heap footprint.
   size_t EstimateBytes() const;
 
-  /// This shard's scan-planner statistics: the parallel fan-out records
-  /// each shard task's observed cost here (in addition to the table-level
-  /// and process-wide models), so per-shard costs stay observable even when
-  /// shards behave very differently. Internally atomic, hence mutable
-  /// through the const shard; heap-boxed so the shard stays movable.
-  ScanStats& scan_stats() const { return *scan_stats_; }
-
  private:
   friend class TableIndex;  // assigns ordinal_ when placing shards
 
@@ -128,7 +116,6 @@ class ShardIndex {
   std::vector<ColumnStorage<uint32_t>> rows_;
   /// Per dim: cardinality x num_targets sums, row-major by value.
   std::vector<ColumnStorage<double>> target_sums_;
-  std::unique_ptr<ScanStats> scan_stats_ = std::make_unique<ScanStats>();
 };
 
 }  // namespace vq

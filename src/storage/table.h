@@ -112,7 +112,7 @@ class Table {
   /// and bench table (<=80k rows) at exactly one shard -- the single-shard
   /// fast paths and table-level Postings() contract are unchanged there --
   /// while paper-scale tables (10-50M rows) split into enough shards to
-  /// keep the whole scan pool busy.
+  /// keep every core busy building the index.
   static constexpr size_t kDefaultTargetShardRows = 1u << 20;
 
   /// Rows per index shard (see TableIndex::Build). Setting it invalidates

@@ -5,24 +5,13 @@
 
 namespace vq {
 
-namespace {
-
-/// Which pool (if any) the calling thread belongs to, and its index there.
-/// Written once per worker at startup; CurrentWorkerIndex() compares the
-/// pool pointer so nested pools cannot alias each other's indices.
-thread_local const ThreadPool* tl_worker_pool = nullptr;
-thread_local size_t tl_worker_index = ThreadPool::kNotAWorker;
-
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  hinted_.resize(num_threads);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -44,19 +33,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_available_.NotifyOne();
 }
 
-void ThreadPool::SubmitHinted(size_t hint, std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    hinted_[hint % hinted_.size()].push_back(std::move(task));
-    ++hinted_total_;
-    ++in_flight_;
-  }
-  // One wake suffices even if it lands on the "wrong" worker: any woken
-  // worker that finds its own queues empty steals hinted work (PopTask), so
-  // the task cannot strand while a worker sleeps.
-  work_available_.NotifyOne();
-}
-
 size_t ThreadPool::PendingTasks() const {
   MutexLock lock(mutex_);
   return in_flight_;
@@ -64,11 +40,7 @@ size_t ThreadPool::PendingTasks() const {
 
 size_t ThreadPool::QueuedTasks() const {
   MutexLock lock(mutex_);
-  return queue_.size() + hinted_total_;
-}
-
-size_t ThreadPool::CurrentWorkerIndex() const {
-  return tl_worker_pool == this ? tl_worker_index : kNotAWorker;
+  return queue_.size();
 }
 
 void ThreadPool::Wait() {
@@ -76,51 +48,15 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0) all_done_.Wait(mutex_);
 }
 
-bool ThreadPool::PopTask(size_t index, std::function<void()>* task) {
-  // Own hinted tasks first (the affinity contract), then the shared FIFO,
-  // then steal the oldest hinted task of the nearest busy neighbor so a
-  // saturated hinted worker never serializes the pool.
-  std::deque<std::function<void()>>& own = hinted_[index];
-  if (!own.empty()) {
-    *task = std::move(own.front());
-    own.pop_front();
-    --hinted_total_;
-    return true;
-  }
-  if (!queue_.empty()) {
-    *task = std::move(queue_.front());
-    queue_.pop();
-    return true;
-  }
-  if (hinted_total_ > 0) {
-    for (size_t step = 1; step < hinted_.size(); ++step) {
-      std::deque<std::function<void()>>& other =
-          hinted_[(index + step) % hinted_.size()];
-      if (!other.empty()) {
-        *task = std::move(other.front());
-        other.pop_front();
-        --hinted_total_;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tl_worker_pool = this;
-  tl_worker_index = index;
+void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
     {
       MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty() && hinted_total_ == 0) {
-        work_available_.Wait(mutex_);
-      }
-      if (!PopTask(index, &task)) {
-        if (shutting_down_) return;
-        continue;
-      }
+      while (!shutting_down_ && queue_.empty()) work_available_.Wait(mutex_);
+      if (queue_.empty()) return;  // shutting down with nothing left
+      task = std::move(queue_.front());
+      queue_.pop();
     }
     task();
     {
@@ -131,11 +67,12 @@ void ThreadPool::WorkerLoop(size_t index) {
   }
 }
 
-ThreadPool& ScanPool() {
-  // Never destroyed: scan tasks may still be draining when static
-  // destructors run (the serving pools are leaked for the same reason).
-  static ThreadPool* pool = new ThreadPool(0);
-  return *pool;
+ThreadPool* SharedPool() {
+  static ThreadPool* pool = []() -> ThreadPool* {
+    unsigned cores = std::thread::hardware_concurrency();
+    return cores > 1 ? new ThreadPool(cores - 1) : nullptr;
+  }();
+  return pool;
 }
 
 namespace {
@@ -204,7 +141,7 @@ void ParallelFor(ThreadPool* pool, size_t count,
   auto queue = std::make_shared<TwoEndedQueue>(std::move(order), &body);
   // The caller takes at least the first index, so one task fewer than
   // indices suffices.
-  size_t tasks = std::min(pool->NumThreads(), count - 1);
+  size_t tasks = pool == nullptr ? 0 : std::min(pool->NumThreads(), count - 1);
   for (size_t t = 0; t < tasks; ++t) pool->Submit([queue] { queue->RunBack(); });
   queue->RunFront();
 }

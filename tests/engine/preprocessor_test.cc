@@ -186,7 +186,7 @@ TEST(PreprocessScheduleTest, AddDatasetOnTheRegistrysOwnPoolFinishes) {
   // queue itself and return without waiting for tasks that never started.
   // Leaked on a timeout: destroying it would join the stuck workers.
   auto* registry = new serve::DatasetRegistry();
-  ThreadPool* pool = serve::DatasetRegistry::PreprocessPoolForTesting();
+  ThreadPool* pool = SharedPool();
   if (pool == nullptr) {
     delete registry;
     GTEST_SKIP() << "single-core host: the registry pre-processes sequentially";

@@ -1,7 +1,6 @@
 // Property tests for the sharded scan path: filters over a table split into
 // {1, 3, 8, ragged} shards must return bit-identical results to the naive
-// row-at-a-time loop -- sequentially AND through the parallel fan-out with an
-// injected pool -- and the per-shard partials must obey the ScanPartial
+// row-at-a-time loop, and the per-shard partials must obey the ScanPartial
 // contract (ascending shard order, shard-local ascending ids, exact
 // base/shard metadata).
 #include "relational/scan_planner.h"
@@ -16,7 +15,6 @@
 #include "relational/scan_partial.h"
 #include "storage/table.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace vq {
 namespace {
@@ -127,84 +125,16 @@ TEST(ShardedScanPropertyTest, FilterPathsBitIdenticalAcrossShardCounts) {
         if (!predicates.empty()) {
           EXPECT_EQ(FilterRowsPostings(table, predicates), expected[q]);
         }
-        ScanPartials partials = PlannedFilterRowsPartials(table, predicates);
+        ScanPartials partials = FilterRowsPartials(table, predicates);
         EXPECT_EQ(CheckedMerge(table, partials), expected[q]);
       }
     }
   }
 }
 
-/// Property: the parallel fan-out (multi-shard table + injected pool, caller
-/// not a pool worker) merges to the same bits as the sequential path.
-TEST(ShardedScanPropertyTest, ParallelFanoutBitIdentical) {
-  Rng rng(424242);
-  ThreadPool pool(3);
-  for (int trial = 0; trial < 8; ++trial) {
-    size_t num_rows = 128 + rng.NextBelow(600);
-    Table table = RandomTable(&rng, num_rows, 3, 10);
-    for (size_t shard_rows : ShardSizeConfigs(num_rows)) {
-      table.SetTargetShardRows(shard_rows);
-      for (int q = 0; q < 6; ++q) {
-        PredicateSet predicates = RandomPredicates(&rng, table, 3);
-        std::vector<uint32_t> expected = NaiveFilterRows(table, predicates);
-        ScanPlannerOptions options;
-        options.pool = &pool;
-        EXPECT_EQ(PlannedFilterRows(table, predicates, options), expected);
-        EXPECT_EQ(CheckedMerge(table, PlannedFilterRowsPartials(table, predicates,
-                                                                options)),
-                  expected);
-      }
-      // After a parallel scan every affinity hint is either untouched or a
-      // real worker index of the injected pool.
-      const TableIndex& index = table.index();
-      for (size_t s = 0; s < index.num_shards(); ++s) {
-        uint32_t worker = index.shard_last_worker(s);
-        EXPECT_TRUE(worker == TableIndex::kNoWorker || worker < pool.NumThreads())
-            << "shard " << s << " worker " << worker;
-      }
-    }
-  }
-}
-
-/// Property: the batched multi-filter (shared per-shard scan pass + selective
-/// postings sets) matches per-set naive filtering at every shard count, both
-/// sequentially and through an injected pool; the partials form obeys the
-/// per-set, per-shard contract.
-TEST(ShardedScanPropertyTest, MultiFilterBitIdenticalAcrossShardCounts) {
-  Rng rng(987654321);
-  ThreadPool pool(3);
-  for (int trial = 0; trial < 8; ++trial) {
-    size_t num_rows = 64 + rng.NextBelow(400);
-    Table table = RandomTable(&rng, num_rows, 3, 10);
-    std::vector<PredicateSet> sets;
-    for (int q = 0; q < 8; ++q) sets.push_back(RandomPredicates(&rng, table, 3));
-    std::vector<const PredicateSet*> pointers;
-    for (const auto& set : sets) pointers.push_back(&set);
-    std::vector<std::vector<uint32_t>> expected;
-    for (const auto& set : sets) expected.push_back(NaiveFilterRows(table, set));
-
-    for (size_t shard_rows : ShardSizeConfigs(num_rows)) {
-      table.SetTargetShardRows(shard_rows);
-      std::vector<std::vector<uint32_t>> batched = FilterRowsMulti(table, pointers);
-      ASSERT_EQ(batched.size(), sets.size());
-      for (size_t q = 0; q < sets.size(); ++q) {
-        EXPECT_EQ(batched[q], expected[q]) << "set " << q;
-      }
-      ScanPlannerOptions options;
-      options.pool = &pool;
-      std::vector<ScanPartials> partials =
-          PlannedFilterRowsMultiPartials(table, pointers, options);
-      ASSERT_EQ(partials.size(), sets.size());
-      for (size_t q = 0; q < sets.size(); ++q) {
-        EXPECT_EQ(CheckedMerge(table, partials[q]), expected[q]) << "set " << q;
-      }
-    }
-  }
-}
-
-/// The partials funnel used by the serving layer (FilterRowsMultiPartials,
-/// which trains the global planner statistics) agrees with FilterRowsMulti.
-TEST(ShardedScanTest, PartialsFunnelMatchesMergedFunnel) {
+/// FilterRowsMultiPartials is a per-set loop over FilterRowsPartials: each
+/// set's partials obey the contract and merge to FilterRows' answer.
+TEST(ShardedScanTest, MultiPartialsMatchFilterRows) {
   Rng rng(5);
   Table table = RandomTable(&rng, 300, 3, 8);
   table.SetTargetShardRows(64);  // 5 shards, ragged last (300 = 4*64 + 44)
@@ -212,11 +142,11 @@ TEST(ShardedScanTest, PartialsFunnelMatchesMergedFunnel) {
   for (int q = 0; q < 6; ++q) sets.push_back(RandomPredicates(&rng, table, 3));
   std::vector<const PredicateSet*> pointers;
   for (const auto& set : sets) pointers.push_back(&set);
-  std::vector<std::vector<uint32_t>> merged = FilterRowsMulti(table, pointers);
   std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
-  ASSERT_EQ(partials.size(), merged.size());
-  for (size_t q = 0; q < merged.size(); ++q) {
-    EXPECT_EQ(MergeScanPartials(std::move(partials[q])), merged[q]) << "set " << q;
+  ASSERT_EQ(partials.size(), sets.size());
+  for (size_t q = 0; q < sets.size(); ++q) {
+    EXPECT_EQ(CheckedMerge(table, partials[q]), FilterRows(table, sets[q]))
+        << "set " << q;
   }
 }
 

@@ -1,9 +1,8 @@
-// Concurrency coverage for the sharded scan path, run under ThreadSanitizer
-// by the serve-tsan preset (the binary name matches its ^(serve_|engine_|obs_)
-// filter). The racy surfaces under test: many caller threads fanning shard
-// tasks into ONE shared pool at once, the lazily built table index's
-// double-checked publish, the relaxed shard->worker affinity atomics, and the
-// process-wide metrics the fan-out records into.
+// Concurrency coverage for the scan path, run under ThreadSanitizer by the
+// serve-tsan preset (the binary name matches its ^(serve_|engine_|obs_)
+// filter): concurrent FilterRows calls race the lazily built table index's
+// double-checked publish (itself built on the shared pool) and the
+// process-wide plan counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +14,6 @@
 #include "relational/scan_planner.h"
 #include "storage/table.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace vq {
 namespace {
@@ -44,52 +42,8 @@ Table MultiShardTable(size_t num_rows, size_t shard_rows) {
   return table;
 }
 
-/// Many caller threads run parallel sharded filters through ONE shared scan
-/// pool; every result must stay bit-identical to the naive loop.
-TEST(ConcurrentScanTest, ParallelFiltersShareOnePool) {
-  Table table = MultiShardTable(4000, 512);  // 8 shards
-  ASSERT_GT(table.index().num_shards(), 1u);
-  std::vector<PredicateSet> queries = {
-      {EqPredicate{0, 0}},
-      {EqPredicate{0, 1}, EqPredicate{1, 0}},
-      {EqPredicate{1, 2}},
-      {EqPredicate{0, 2}, EqPredicate{1, 1}},
-  };
-  for (auto& predicates : queries) ASSERT_TRUE(NormalizePredicates(&predicates).ok());
-  std::vector<std::vector<uint32_t>> expected;
-  for (const auto& predicates : queries) {
-    expected.push_back(NaiveFilterRows(table, predicates));
-  }
-
-  ThreadPool shard_pool(4);  // the shared fan-out target
-  std::atomic<int> mismatches{0};
-  const int kCallers = 6;
-  const int kItersPerCaller = 40;
-  std::vector<std::thread> callers;
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c] {
-      ScanPlannerOptions options;
-      options.pool = &shard_pool;
-      for (int i = 0; i < kItersPerCaller; ++i) {
-        size_t q = static_cast<size_t>(c + i) % queries.size();
-        if (PlannedFilterRows(table, queries[q], options) != expected[q]) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& caller : callers) caller.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  // Affinity hints must have landed inside the pool's worker range.
-  const TableIndex& index = table.index();
-  for (size_t s = 0; s < index.num_shards(); ++s) {
-    uint32_t worker = index.shard_last_worker(s);
-    EXPECT_TRUE(worker == TableIndex::kNoWorker || worker < shard_pool.NumThreads());
-  }
-}
-
 /// Concurrent first use of a multi-shard table: threads race the lazy index
-/// build (itself parallelized across the scan pool) and immediately filter.
+/// build (itself parallelized across the shared pool) and immediately filter.
 TEST(ConcurrentScanTest, LazyIndexBuildRacesFilters) {
   for (int round = 0; round < 4; ++round) {
     Table table = MultiShardTable(3000, 333);  // 10 shards, ragged last
@@ -110,40 +64,6 @@ TEST(ConcurrentScanTest, LazyIndexBuildRacesFilters) {
     for (auto& thread : threads) thread.join();
     EXPECT_EQ(mismatches.load(), 0);
   }
-}
-
-/// The serving funnel under contention: concurrent batched multi-filters
-/// (the EngineHost batch-solve shape) over a shared multi-shard table.
-TEST(ConcurrentScanTest, BatchedMultiFiltersConcurrently) {
-  Table table = MultiShardTable(2500, 400);  // 7 shards
-  std::vector<PredicateSet> sets = {
-      {},  // kAllRows through the batch path
-      {EqPredicate{0, 0}},
-      {EqPredicate{0, 0}, EqPredicate{1, 1}},
-      {EqPredicate{1, 3}},
-  };
-  for (auto& set : sets) ASSERT_TRUE(NormalizePredicates(&set).ok());
-  std::vector<const PredicateSet*> pointers;
-  for (const auto& set : sets) pointers.push_back(&set);
-  std::vector<std::vector<uint32_t>> expected;
-  for (const auto& set : sets) expected.push_back(NaiveFilterRows(table, set));
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> callers;
-  for (int c = 0; c < 5; ++c) {
-    callers.emplace_back([&] {
-      for (int i = 0; i < 25; ++i) {
-        std::vector<std::vector<uint32_t>> batched = FilterRowsMulti(table, pointers);
-        for (size_t q = 0; q < sets.size(); ++q) {
-          if (batched[q] != expected[q]) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (auto& caller : callers) caller.join();
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // and latency histograms, cache and coalescer stats, per-dataset host
 // counters, the engine's PerfCounters (exported through ForEachField, the
 // single serialization contract), registry add/remove instrumentation --
-// plus the sampled-trace ring, the slow-query log, and the scan planner's
-// shard fan-out instruments (width counter + sampled per-shard latency).
+// plus the sampled-trace ring and the slow-query log. Every routed case
+// tallies its responses' statuses and reconciles them with RouterStats.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -13,13 +13,11 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "relational/predicate.h"
-#include "relational/scan_planner.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "storage/datasets.h"
 #include "storage/table.h"
-#include "util/thread_pool.h"
+#include "testing/status_ledger.h"
 
 namespace vq {
 namespace serve {
@@ -64,8 +62,9 @@ TEST(ObservabilityTest, RenderTextCoversTheWholeServingStack) {
       "cancelled in February",  // repeat: cache hit
       "qqq zzz nonsense",       // unrouted
   };
+  testing::StatusLedger ledger;
   for (const auto& request : workload) {
-    (void)router.AnswerNow(request);
+    (void)ledger.Tally(router.AnswerNow(request));
   }
   ASSERT_TRUE(registry.RemoveDataset("acs").ok());
   router.SyncRegistry();
@@ -117,6 +116,7 @@ TEST(ObservabilityTest, RenderTextCoversTheWholeServingStack) {
   EXPECT_EQ(snap.count, 5u);
   EXPECT_GT(snap.p50(), 0.0);
   EXPECT_LE(snap.p99(), snap.max_seconds * (1.0 + 1e-9));
+  ledger.ExpectMatches(router.stats());
 }
 
 TEST(ObservabilityTest, SnapshotMetricsLightUpInExposition) {
@@ -181,41 +181,6 @@ TEST(ObservabilityTest, SnapshotMetricsLightUpInExposition) {
   std::filesystem::remove(path);
 }
 
-TEST(ObservabilityTest, ShardedScanMetricsLightUpOnParallelFilter) {
-  // The scan planner's fan-out instruments live against the process-global
-  // registry (free functions have no per-object home), so this asserts
-  // DELTAS around one parallel multi-shard filter rather than absolute
-  // values other suites may already have bumped.
-  obs::MetricsRegistry& global = obs::MetricsRegistry::Global();
-  uint64_t fanout_before =
-      global.GetCounter("vq_scan_shard_fanout_total")->Value();
-  const std::string shard0 = obs::MetricsRegistry::WithLabel(
-      "vq_scan_shard_filter_seconds", "shard", "0");
-  uint64_t shard0_before = global.SnapshotHistogram(shard0).count;
-
-  Table table = MakeFlightsTable(4000, kSeed);
-  table.SetTargetShardRows(700);  // 6 shards
-  ASSERT_GT(table.index().num_shards(), 1u);
-  PredicateSet predicates = {EqPredicate{table.DimIndex("origin_state"), 3},
-                             EqPredicate{table.DimIndex("month"), 1}};
-  ASSERT_TRUE(NormalizePredicates(&predicates).ok());
-  ThreadPool pool(3);
-  ScanPlannerOptions options;
-  options.pool = &pool;
-  (void)PlannedFilterRows(table, predicates, options);
-
-  size_t num_shards = table.index().num_shards();
-  EXPECT_EQ(global.GetCounter("vq_scan_shard_fanout_total")->Value(),
-            fanout_before + num_shards);
-  EXPECT_EQ(global.SnapshotHistogram(shard0).count, shard0_before + 1);
-
-  // Both families render under their exact exposition names.
-  std::string text = global.RenderText();
-  EXPECT_NE(text.find("vq_scan_shard_fanout_total"), std::string::npos);
-  EXPECT_NE(text.find("vq_scan_shard_filter_seconds_count{shard=\"0\"}"),
-            std::string::npos);
-}
-
 TEST(ObservabilityTest, SampledTracesCarryStageSpans) {
   obs::MetricsRegistry metrics;
   DatasetRegistry registry;
@@ -225,7 +190,9 @@ TEST(ObservabilityTest, SampledTracesCarryStageSpans) {
   options.host.trace_samples_per_second = 100;
   RoutingService router(&registry, options);
 
-  ASSERT_TRUE(router.AnswerNow("cancelled in February").response.answered);
+  testing::StatusLedger ledger;
+  ASSERT_TRUE(ledger.Tally(router.AnswerNow("cancelled in February")).response.answered);
+  ledger.ExpectMatches(router.stats());
   ASSERT_GE(router.sampled_traces().size(), 1u);
   std::string dump = router.sampled_traces().Entries().front().Dump();
   // The routing stages are backfilled into the same timeline as the host's
@@ -247,7 +214,9 @@ TEST(ObservabilityTest, SlowQueryLogCatchesRequestsOverThreshold) {
   options.host.slow_trace_seconds = 1e-9;     // everything is "slow"
   RoutingService router(&registry, options);
 
-  ASSERT_TRUE(router.AnswerNow("cancelled in February").response.answered);
+  testing::StatusLedger ledger;
+  ASSERT_TRUE(ledger.Tally(router.AnswerNow("cancelled in February")).response.answered);
+  ledger.ExpectMatches(router.stats());
   EXPECT_EQ(router.sampled_traces().size(), 0u);
   ASSERT_GE(router.slow_queries().size(), 1u);
   EXPECT_NE(router.slow_queries().Entries().front().Dump().find(
@@ -263,7 +232,10 @@ TEST(ObservabilityTest, SlowQueryLogCatchesRequestsOverThreshold) {
   fast_options.host.trace_samples_per_second = 0;
   fast_options.host.slow_trace_seconds = 30.0;
   RoutingService fast_router(&fast_registry, fast_options);
-  ASSERT_TRUE(fast_router.AnswerNow("cancelled in February").response.answered);
+  testing::StatusLedger fast_ledger;
+  ASSERT_TRUE(fast_ledger.Tally(fast_router.AnswerNow("cancelled in February"))
+                  .response.answered);
+  fast_ledger.ExpectMatches(fast_router.stats());
   EXPECT_EQ(fast_router.slow_queries().size(), 0u);
 }
 
@@ -276,9 +248,12 @@ TEST(ObservabilityTest, TraceSamplingDisabledProducesNoTraces) {
   options.host.trace_samples_per_second = 0;
   options.host.slow_trace_seconds = 0.0;  // disabled
   RoutingService router(&registry, options);
+  testing::StatusLedger ledger;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(router.AnswerNow("cancelled in February").response.answered);
+    ASSERT_TRUE(
+        ledger.Tally(router.AnswerNow("cancelled in February")).response.answered);
   }
+  ledger.ExpectMatches(router.stats());
   EXPECT_EQ(router.sampled_traces().size(), 0u);
   EXPECT_EQ(router.slow_queries().size(), 0u);
   // Metrics still flow without tracing.

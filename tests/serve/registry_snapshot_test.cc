@@ -19,6 +19,7 @@
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "storage/datasets.h"
+#include "testing/status_ledger.h"
 
 namespace vq {
 namespace serve {
@@ -71,11 +72,13 @@ TEST(RegistrySnapshotTest, SnapshotAddAnswersIdenticallyToColdAdd) {
         registry.AddGenerated("flights", FlightsConfig(), 500, kSeed).ok());
     ASSERT_TRUE(registry.WriteSnapshot("flights", path).ok());
     RoutingService router(&registry);
+    testing::StatusLedger ledger;
     for (const auto& request : Workload()) {
-      RoutedResponse routed = router.AnswerNow(request);
+      RoutedResponse routed = ledger.Tally(router.AnswerNow(request));
       EXPECT_TRUE(routed.routed) << request;
       cold_answers.push_back(routed.response.text);
     }
+    ledger.ExpectMatches(router.stats());
   }
 
   // Snapshot incarnation in a "new process": same answers, no fallback.
@@ -93,11 +96,13 @@ TEST(RegistrySnapshotTest, SnapshotAddAnswersIdenticallyToColdAdd) {
   EXPECT_TRUE(registry.table("flights")->has_index());
 
   RoutingService router(&registry);
+  testing::StatusLedger ledger;
   for (size_t i = 0; i < Workload().size(); ++i) {
-    RoutedResponse routed = router.AnswerNow(Workload()[i]);
+    RoutedResponse routed = ledger.Tally(router.AnswerNow(Workload()[i]));
     EXPECT_TRUE(routed.routed) << Workload()[i];
     EXPECT_EQ(routed.response.text, cold_answers[i]) << Workload()[i];
   }
+  ledger.ExpectMatches(router.stats());
 
   EXPECT_EQ(metrics.GetCounter("vq_registry_snapshot_loads_total")->Value(), 1u);
   EXPECT_EQ(metrics.GetCounter("vq_registry_snapshot_fallbacks_total")->Value(),
@@ -167,7 +172,9 @@ TEST(RegistrySnapshotTest, CorruptSnapshotFallsBackToColdBuild) {
 
   // The fallback-built dataset serves normally.
   RoutingService router(&registry);
-  EXPECT_TRUE(router.AnswerNow("cancelled in February").response.answered);
+  testing::StatusLedger ledger;
+  EXPECT_TRUE(ledger.Tally(router.AnswerNow("cancelled in February")).response.answered);
+  ledger.ExpectMatches(router.stats());
   std::filesystem::remove(path);
 }
 
@@ -218,10 +225,12 @@ TEST(RegistrySnapshotTest, LearnedSpeechesSurviveThroughSnapshotCycle) {
     DatasetRegistry registry{RegistryOptions{learned_dir}};
     ASSERT_TRUE(registry.AddGenerated("re", config, 16, kSeed).ok());
     RoutingService router(&registry);
-    RoutedResponse routed = router.AnswerNow("delay in the East in Winter");
+    testing::StatusLedger ledger;
+    RoutedResponse routed = ledger.Tally(router.AnswerNow("delay in the East in Winter"));
     ASSERT_TRUE(routed.response.answered);
     EXPECT_EQ(routed.response.source, AnswerSource::kOnDemand);
     router.Drain();
+    ledger.ExpectMatches(router.stats());
     ASSERT_TRUE(registry.RemoveDataset("re").ok());
     router.SyncRegistry();  // drains the learned speech to disk
     ASSERT_TRUE(std::filesystem::exists(registry.LearnedPath("re")));
@@ -245,9 +254,11 @@ TEST(RegistrySnapshotTest, LearnedSpeechesSurviveThroughSnapshotCycle) {
   EXPECT_TRUE(registry.table("re")->snapshot_backed());
   EXPECT_EQ(registry.learned_loaded("re"), 1u);
   RoutingService router(&registry);
-  RoutedResponse reloaded = router.AnswerNow("delay in the East in Winter");
+  testing::StatusLedger ledger;
+  RoutedResponse reloaded = ledger.Tally(router.AnswerNow("delay in the East in Winter"));
   ASSERT_TRUE(reloaded.response.answered);
   EXPECT_EQ(reloaded.response.source, AnswerSource::kStoreExact);
+  ledger.ExpectMatches(router.stats());
 
   std::filesystem::remove(path);
   std::filesystem::remove_all(learned_dir);
@@ -298,30 +309,33 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotAddRemoveUnderSubmitTraffic) {
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> submitted{0};
-  auto submitter = [&] {
+  testing::StatusLedger submit_ledgers[2];
+  testing::StatusLedger answer_ledger;
+  auto submitter = [&](testing::StatusLedger* ledger) {
     const std::vector<std::string> steady = {
         "cancelled in February", "delay in the North", "cancelled in Winter",
         "delay in Summer"};
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      RoutedResponse routed = router.Submit(steady[i++ % steady.size()]).get();
+      RoutedResponse routed =
+          ledger->Tally(router.Submit(steady[i++ % steady.size()]).get());
       EXPECT_FALSE(routed.response.text.empty());
       submitted.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  std::thread submit_a(submitter);
-  std::thread submit_b(submitter);
+  std::thread submit_a(submitter, &submit_ledgers[0]);
+  std::thread submit_b(submitter, &submit_ledgers[1]);
 
   for (int cycle = 0; cycle < 6; ++cycle) {
     ASSERT_TRUE(registry
                     .AddFromSnapshot("re", path, RunningExampleConfig())
                     .ok())
         << "cycle " << cycle;
-    RoutedResponse added = router.AnswerNow("delay in the East");
+    RoutedResponse added = answer_ledger.Tally(router.AnswerNow("delay in the East"));
     EXPECT_TRUE(added.routed);
     EXPECT_EQ(added.dataset, "re");
     ASSERT_TRUE(registry.RemoveDataset("re").ok());
-    RoutedResponse after = router.AnswerNow("delay in the East");
+    RoutedResponse after = answer_ledger.Tally(router.AnswerNow("delay in the East"));
     EXPECT_FALSE(after.routed && after.dataset == "re") << "cycle " << cycle;
   }
 
@@ -336,6 +350,11 @@ TEST(RegistrySnapshotTest, ConcurrentSnapshotAddRemoveUnderSubmitTraffic) {
 
   EXPECT_GE(submitted.load(), 50u);
   EXPECT_EQ(router.host("re"), nullptr);
+  testing::StatusLedger ledger = answer_ledger;
+  for (const testing::StatusLedger& submit_ledger : submit_ledgers) {
+    ledger.Add(submit_ledger);
+  }
+  ledger.ExpectMatches(router.stats());
   std::filesystem::remove(path);
 }
 

@@ -34,6 +34,13 @@ struct StatusLedger {
     }
   }
 
+  /// Adds `routed`'s status and hands the response back, so a call site
+  /// reads `ledger.Tally(router.AnswerNow(request))`.
+  serve::RoutedResponse Tally(serve::RoutedResponse routed) {
+    Add(routed.response.status);
+    return routed;
+  }
+
   /// Folds in another ledger, e.g. one per client thread.
   void Add(const StatusLedger& other) {
     requests += other.requests;

@@ -54,6 +54,28 @@ TEST(ThreadPoolTest, ParallelForZeroCountIsNoop) {
   ParallelFor(&pool, 0, [](size_t) { FAIL() << "body must not run"; });
 }
 
+TEST(ThreadPoolTest, ParallelForWithoutAPoolRunsOnTheCaller) {
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(5, 0);
+  ParallelFor(nullptr, hits.size(), [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++hits[i];
+  });
+  EXPECT_EQ(hits, std::vector<int>(5, 1));
+}
+
+TEST(ThreadPoolTest, SharedPoolLeavesACoreForTheCaller) {
+  unsigned cores = std::thread::hardware_concurrency();
+  ThreadPool* pool = SharedPool();
+  EXPECT_EQ(pool, SharedPool());
+  if (cores <= 1) {
+    EXPECT_EQ(pool, nullptr);
+  } else {
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool->NumThreads(), cores - 1);
+  }
+}
+
 TEST(ThreadPoolTest, ParallelForSmallerThanThreads) {
   ThreadPool pool(8);
   std::atomic<int> counter{0};
@@ -62,8 +84,9 @@ TEST(ThreadPoolTest, ParallelForSmallerThanThreads) {
 }
 
 TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
-  // A long task already running on the pool (a serving scan on ScanPool(),
-  // say) must not hold up a ParallelFor that only needs the other worker.
+  // A long task already running on the pool (another AddDataset's
+  // pre-processing on SharedPool(), say) must not hold up a ParallelFor
+  // that only needs the other worker.
   ThreadPool pool(2);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();

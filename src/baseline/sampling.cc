@@ -76,8 +76,8 @@ BaselineResult SamplingVocalizer::Run(const Evaluator& evaluator, Rng* rng) cons
     for (size_t b = 0; b < options_.batch_rows; ++b) {
       size_t r = sample_row();
       sampled_rows.push_back(static_cast<uint32_t>(r));
-      for (const FactGroup& group : catalog.groups()) {
-        FactId id = group.row_fact[r];
+      for (uint32_t g = 0; g < catalog.NumGroups(); ++g) {
+        FactId id = catalog.RowFacts(g)[r];
         sum[id] += inst.target[r];
         count[id] += 1.0;
       }
@@ -99,8 +99,8 @@ BaselineResult SamplingVocalizer::Run(const Evaluator& evaluator, Rng* rng) cons
           current = std::min(current, std::fabs(fact.estimate - actual));
         }
       }
-      for (const FactGroup& group : catalog.groups()) {
-        FactId id = group.row_fact[r];
+      for (uint32_t g = 0; g < catalog.NumGroups(); ++g) {
+        FactId id = catalog.RowFacts(g)[r];
         if (committed[id]) continue;
         double gain = current - std::fabs(estimate[id] - actual);
         if (gain > 0.0) gains[id] += gain;

@@ -119,6 +119,8 @@ class Evaluator {
   /// the golden equivalence tests and bench/scan_throughput.cpp can compare
   /// the vectorized paths against them -- and used as the execution path
   /// when the catalog capped its scope bitsets (FactCatalog::HasScopeBits).
+  /// They read the catalog's scope join, which their first call builds
+  /// (FactCatalog::RowFacts).
   double ErrorReference(std::span<const FactId> speech,
                         ConflictModel model = ConflictModel::kClosest) const;
   std::vector<double> RowExpectationsReference(std::span<const FactId> speech,

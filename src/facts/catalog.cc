@@ -51,6 +51,7 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   }
 
   FactCatalog catalog;
+  catalog.num_rows_ = num_rows;
   catalog.groups_.reserve(num_groups);
   // The codes transposed to one column per dimension, so the grouping
   // passes read whole columns.
@@ -61,12 +62,14 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
     }
   }
   // Group g's scope entries fill [g * num_rows, (g + 1) * num_rows) of the
-  // CSR tables; every entry is written exactly once below.
+  // CSR table; every entry is written exactly once below.
   size_t num_entries = num_groups * num_rows;
   catalog.scope_rows_ = std::make_unique_for_overwrite<uint32_t[]>(num_entries);
   uint32_t* rows = catalog.scope_rows_.get();
   std::vector<uint32_t>& offsets = catalog.scope_row_offsets_;
   offsets.push_back(0);
+  // Pass 1's row -> group-local fact id, reused by every group.
+  std::unique_ptr<uint32_t[]> local_ids = std::make_unique_for_overwrite<uint32_t[]>(num_rows);
   std::vector<uint32_t> cursor;
   GroupIndexer indexer;
   uint32_t num_masks = 1u << num_dims;
@@ -86,34 +89,40 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
         group.dim_positions.push_back(static_cast<int>(d));
       }
     }
-
-    // Pass 1: row -> fact (group-local ids for now) and rows per fact.
-    // Integer work only.
     group.first_fact = static_cast<FactId>(catalog.facts_.size());
-    group.row_fact.resize(num_rows);
-    indexer.Reset({radices, group.dim_positions.size()});
-    indexer.InsertColumns(group_columns, num_rows, group.row_fact.data(), &cursor);
-    group.num_facts = static_cast<uint32_t>(indexer.size());
-    for (uint32_t i = 0; i < group.num_facts; ++i) {
-      Fact fact;
-      fact.group = group_index;
-      fact.packed = indexer.key(i);
-      catalog.facts_.push_back(fact);
+
+    if (mask == 0) {
+      // The overall group: one fact over every row (none on an empty
+      // instance), keyed PackGroupKey({}) = 0. Its list is 0..n-1.
       uint32_t begin = offsets.back();
-      offsets.push_back(begin + cursor[i]);
-      cursor[i] = begin;
+      for (size_t r = 0; r < num_rows; ++r) rows[begin + r] = static_cast<uint32_t>(r);
+      if (num_rows > 0) {
+        group.num_facts = 1;
+        catalog.facts_.push_back(Fact{group_index, 0, 0.0, 0.0});
+        offsets.push_back(begin + static_cast<uint32_t>(num_rows));
+      }
+    } else {
+      // Pass 1: row -> group-local fact id and rows per fact. Integer work
+      // only.
+      indexer.Reset({radices, group.dim_positions.size()});
+      indexer.InsertColumns(group_columns, num_rows, local_ids.get(), &cursor);
+      group.num_facts = static_cast<uint32_t>(indexer.size());
+      for (uint32_t i = 0; i < group.num_facts; ++i) {
+        catalog.facts_.push_back(Fact{group_index, indexer.key(i), 0.0, 0.0});
+        uint32_t begin = offsets.back();
+        offsets.push_back(begin + cursor[i]);
+        cursor[i] = begin;
+      }
+      // Pass 2a: counting-sort the row ids into the CSR lists (rows arrive
+      // ascending, so every list is ascending).
+      for (size_t r = 0; r < num_rows; ++r) {
+        rows[cursor[local_ids[r]]++] = static_cast<uint32_t>(r);
+      }
     }
 
-    // Pass 2: counting-sort the row ids into the CSR lists (rows arrive
-    // ascending, so every list is ascending) while turning local ids into
-    // FactIds. Then, per fact in CSR order, accumulate the scope weight and
+    // Pass 2b: per fact in CSR order, accumulate the scope weight and
     // weighted sum -- the order a row-by-row scan adds them in, so the
     // typical value keeps its exact bits.
-    for (size_t r = 0; r < num_rows; ++r) {
-      FactId& id = group.row_fact[r];
-      rows[cursor[id]++] = static_cast<uint32_t>(r);
-      id += group.first_fact;
-    }
     for (FactId id = group.first_fact; id < group.first_fact + group.num_facts; ++id) {
       uint32_t begin = offsets[id];
       uint32_t end = offsets[id + 1];
@@ -139,31 +148,39 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   catalog.scope_words_ = (num_rows + 63) / 64;
   catalog.has_scope_bits_ =
       catalog.facts_.size() * catalog.scope_words_ <= kMaxScopeBitsWords;
-  if (catalog.has_scope_bits_) catalog.scope_bits_ = std::make_unique<LazyScopeBits>();
+  catalog.lazy_ = std::make_unique<LazyTables>();
   return catalog;
 }
 
 const uint64_t* FactCatalog::ScopeBitsTable() const {
   assert(has_scope_bits_);
-  std::call_once(scope_bits_->once, [this] {
-    std::vector<uint64_t>& bits = scope_bits_->words;
+  std::call_once(lazy_->bits_once, [this] {
+    std::vector<uint64_t>& bits = lazy_->bits;
     bits.assign(facts_.size() * scope_words_, 0);
     for (FactId id = 0; id < facts_.size(); ++id) {
       uint64_t* fact_bits = bits.data() + id * scope_words_;
       for (uint32_t r : ScopeRows(id)) fact_bits[r >> 6] |= uint64_t{1} << (r & 63);
     }
   });
-  return scope_bits_->words.data();
+  return lazy_->bits.data();
+}
+
+const FactId* FactCatalog::BuildRowFactTable() const {
+  std::call_once(lazy_->row_fact_once, [this] {
+    // Every group partitions the rows, so each entry is written exactly once.
+    lazy_->row_fact = std::make_unique_for_overwrite<FactId[]>(groups_.size() * num_rows_);
+    for (FactId id = 0; id < facts_.size(); ++id) {
+      FactId* join = lazy_->row_fact.get() + size_t{facts_[id].group} * num_rows_;
+      for (uint32_t r : ScopeRows(id)) join[r] = id;
+    }
+    lazy_->row_fact_built.store(lazy_->row_fact.get(), std::memory_order_release);
+  });
+  return lazy_->row_fact.get();
 }
 
 int FactCatalog::GroupIndexForMask(uint32_t mask) const {
   auto it = mask_to_group_.find(mask);
   return it == mask_to_group_.end() ? -1 : static_cast<int>(it->second);
-}
-
-bool FactCatalog::RowInScope(size_t row, FactId id) const {
-  const Fact& fact = facts_[id];
-  return groups_[fact.group].row_fact[row] == id;
 }
 
 std::vector<std::pair<std::string, std::string>> FactCatalog::DescribeScope(

@@ -1,4 +1,4 @@
-// Fact enumeration and the materialized scope join.
+// Fact enumeration and the scope join.
 //
 // A fact (Definition 2) has a scope -- equality predicates on a subset of
 // the instance's fact-eligible dimensions -- and a typical value, the
@@ -8,9 +8,10 @@
 #ifndef VQ_FACTS_CATALOG_H_
 #define VQ_FACTS_CATALOG_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>  // std::call_once for the lazy scope bitsets (not locking)
+#include <mutex>  // std::call_once for the lazy scope tables (not locking)
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -39,10 +40,6 @@ struct FactGroup {
   std::vector<int> dim_positions;  ///< set bits of mask, ascending
   FactId first_fact = 0;        ///< facts [first_fact, first_fact + num_facts)
   uint32_t num_facts = 0;
-  /// Materialized scope join: per instance row, the unique fact of this
-  /// group whose scope contains the row (every row matches exactly one value
-  /// combination). This is the paper's join with condition M, computed once.
-  std::vector<FactId> row_fact;
 };
 
 /// \brief All candidate facts for one summarization instance.
@@ -64,12 +61,13 @@ class FactCatalog {
   /// order their first row appears, so FactIds do not depend on the path.
   ///
   /// The instance codes are transposed into columns once; then each group
-  /// takes two passes while its scope join is cache-hot. Pass 1 assigns
-  /// row -> fact ids column-at-a-time and counts rows per fact (integer work
-  /// only). Pass 2 counting-sorts the row ids into the CSR lists, then walks
-  /// every fact's list in ascending row order to accumulate its scope weight
-  /// and typical value -- the order a row-by-row scan adds them in, so the
-  /// sums are bit-identical.
+  /// takes two passes. Pass 1 writes row -> group-local fact ids,
+  /// column-at-a-time, into one scratch buffer every group reuses, and
+  /// counts rows per fact (integer work only). Pass 2 counting-sorts the row
+  /// ids into the CSR lists, then walks every fact's list in ascending row
+  /// order to accumulate its scope weight and typical value -- the order a
+  /// row-by-row scan adds them in, so the sums are bit-identical. The
+  /// overall group (no dimensions) skips pass 1: its one list is every row.
   /// Returns Unsupported, before allocating anything, when
   /// num_groups * num_rows exceeds UINT32_MAX.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
@@ -86,8 +84,22 @@ class FactCatalog {
   /// Group index for a dimension mask; -1 if not enumerated.
   int GroupIndexForMask(uint32_t mask) const;
 
-  /// True if `row` of the instance is within the scope of `id`.
-  bool RowInScope(size_t row, FactId id) const;
+  /// True if `row` of the instance is within the scope of `id`. Reads the
+  /// scope join (RowFacts), building it on the first call.
+  bool RowInScope(size_t row, FactId id) const {
+    return RowFacts(facts_[id].group)[row] == id;
+  }
+
+  /// The scope join of group `g`: per instance row, the unique fact of the
+  /// group whose scope contains the row (every row matches exactly one value
+  /// combination) -- the paper's join with condition M. No greedy solver
+  /// reads it (they walk ScopeRows), so Build does not store it: the first
+  /// RowFacts() or RowInScope() call builds every group's join from the CSR
+  /// lists, once, under std::call_once (safe to race from any number of
+  /// threads), at 4 B per (group, row); later calls only read.
+  std::span<const FactId> RowFacts(uint32_t g) const {
+    return {RowFactTable() + size_t{g} * num_rows_, num_rows_};
+  }
 
   /// Words per fact in the row-membership bitsets (ceil(num_rows / 64)).
   size_t ScopeWords() const { return scope_words_; }
@@ -128,10 +140,10 @@ class FactCatalog {
   /// catalog stores no per-entry deviation or weight.
   ///
   /// Every group partitions the rows, so the CSR lists hold exactly
-  /// num_groups * num_rows entries at 8 B each: a uint32 row here plus the
-  /// row's uint32 row_fact entry in its group's scope join -- the same shape
-  /// as the joins, never quadratic. Build rejects instances whose entry
-  /// count does not fit the uint32 CSR offsets.
+  /// num_groups * num_rows entries at 4 B each (a uint32 row) -- the shape
+  /// of the scope joins, never quadratic; the joins themselves are built
+  /// only on demand (RowFacts). Build rejects instances whose entry count
+  /// does not fit the uint32 CSR offsets.
   std::span<const uint32_t> ScopeRows(FactId id) const {
     return {scope_rows_.get() + scope_row_offsets_[id],
             scope_rows_.get() + scope_row_offsets_[id + 1]};
@@ -145,6 +157,12 @@ class FactCatalog {
  private:
   /// Builds the scope bitsets on first use (see ScopeBits); their base.
   const uint64_t* ScopeBitsTable() const;
+  /// The scope join's base (see RowFacts); builds it on the first call.
+  const FactId* RowFactTable() const {
+    const FactId* built = lazy_->row_fact_built.load(std::memory_order_acquire);
+    return built != nullptr ? built : BuildRowFactTable();
+  }
+  const FactId* BuildRowFactTable() const;
 
   std::vector<FactGroup> groups_;
   std::vector<Fact> facts_;
@@ -153,15 +171,23 @@ class FactCatalog {
   /// every entry exactly once, so the array is allocated uninitialized.
   std::vector<uint32_t> scope_row_offsets_;
   std::unique_ptr<uint32_t[]> scope_rows_;
-  /// The flat num_facts x scope_words_ bitset, filled by the first
-  /// ScopeBits() call. Held by pointer so the catalog stays movable.
-  struct LazyScopeBits {
-    std::once_flag once;
-    std::vector<uint64_t> words;
+  /// The tables built on first use. Held by pointer so the catalog stays
+  /// movable.
+  struct LazyTables {
+    /// The flat num_facts x scope_words_ bitset (see ScopeBits).
+    std::once_flag bits_once;
+    std::vector<uint64_t> bits;
+    /// The flat num_groups x num_rows_ scope join (see RowFacts), and its
+    /// base once built: RowInScope runs once per (row, fact) in the reference
+    /// paths, so its fast path is one acquire load, not a call_once.
+    std::once_flag row_fact_once;
+    std::unique_ptr<FactId[]> row_fact;
+    std::atomic<const FactId*> row_fact_built{nullptr};
   };
+  size_t num_rows_ = 0;
   size_t scope_words_ = 0;
   bool has_scope_bits_ = false;
-  std::unique_ptr<LazyScopeBits> scope_bits_;
+  std::unique_ptr<LazyTables> lazy_;
 };
 
 }  // namespace vq

@@ -264,7 +264,14 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
     ++inst.num_rows;
   };
 
+  // At most every visited row becomes an instance row.
+  auto reserve = [&](size_t max_rows) {
+    inst.codes.reserve(max_rows * columns.size());
+    inst.target.reserve(max_rows);
+    inst.weight.reserve(max_rows);
+  };
   if (query_predicates.empty()) {
+    reserve(table.NumRows());
     for (uint32_t r = 0; r < table.NumRows(); ++r) visit(r);
   } else {
     // Walk the rarest predicate's postings in ascending row order and check
@@ -279,6 +286,8 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
         rarest = i;
       }
     }
+    reserve(index.Count(static_cast<size_t>(query_predicates[rarest].dim),
+                        query_predicates[rarest].value));
     std::vector<std::pair<std::span<const ValueId>, ValueId>> checks;
     for (size_t i = 0; i < query_predicates.size(); ++i) {
       if (i == rarest) continue;

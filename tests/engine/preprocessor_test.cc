@@ -17,6 +17,7 @@
 #include "query/problem_generator.h"
 #include "serve/registry.h"
 #include "storage/datasets.h"
+#include "testing/kernel_override.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -82,13 +83,7 @@ std::vector<std::string> PreparedFingerprint(const Table& table,
   return lines;
 }
 
-class ScopedKernelOverride {
- public:
-  explicit ScopedKernelOverride(const simd::Kernels* kernels) {
-    simd::SetActiveForTesting(kernels);
-  }
-  ~ScopedKernelOverride() { simd::SetActiveForTesting(nullptr); }
-};
+using testing::ScopedKernelOverride;
 
 TEST(PreprocessScheduleTest, PooledStoreIsByteIdenticalToSequential) {
   Table table = MakeStackOverflowTable(1500, 20210318);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +15,8 @@
 #include "relational/group_by.h"
 #include "storage/datasets.h"
 #include "util/rng.h"
+#include "testing/kernel_override.h"
+#include "util/simd.h"
 
 namespace vq {
 namespace {
@@ -79,11 +84,13 @@ TEST_F(CatalogTest, OverallFactIsGlobalAverage) {
 
 TEST_F(CatalogTest, RowFactPartitionsRows) {
   auto catalog = FactCatalog::Build(instance_, 2).value();
-  for (const auto& group : catalog.groups()) {
-    ASSERT_EQ(group.row_fact.size(), instance_.num_rows);
+  for (uint32_t g = 0; g < catalog.NumGroups(); ++g) {
+    const FactGroup& group = catalog.group(g);
+    std::span<const FactId> row_fact = catalog.RowFacts(g);
+    ASSERT_EQ(row_fact.size(), instance_.num_rows);
     double weight = 0.0;
     for (size_t r = 0; r < instance_.num_rows; ++r) {
-      FactId id = group.row_fact[r];
+      FactId id = row_fact[r];
       ASSERT_GE(id, group.first_fact);
       ASSERT_LT(id, group.first_fact + group.num_facts);
       EXPECT_TRUE(catalog.RowInScope(r, id));
@@ -222,7 +229,9 @@ void ExpectCatalogMatchesReference(const SummaryInstance& inst, int max_fact_dim
     EXPECT_EQ(Bits(got.scope_weight), Bits(facts[id].scope_weight)) << "fact " << id;
   }
   for (uint32_t g = 0; g < row_facts.size(); ++g) {
-    EXPECT_EQ(catalog.group(g).row_fact, row_facts[g]) << "group " << g;
+    std::span<const FactId> row_fact = catalog.RowFacts(g);
+    EXPECT_EQ(std::vector<FactId>(row_fact.begin(), row_fact.end()), row_facts[g])
+        << "group " << g;
   }
   EXPECT_TRUE(catalog.HasScopeBits());
   for (FactId id = 0; id < facts.size(); ++id) {
@@ -297,10 +306,10 @@ TEST(CatalogDifferentialTest, MatchesMapReferenceAtPackableCardinalityLimit) {
 /// Every fact's scope bitset derived from the scope joins alone.
 std::vector<uint64_t> ReferenceScopeBits(const FactCatalog& catalog, size_t num_rows) {
   std::vector<uint64_t> bits(catalog.NumFacts() * catalog.ScopeWords(), 0);
-  for (const FactGroup& group : catalog.groups()) {
+  for (uint32_t g = 0; g < catalog.NumGroups(); ++g) {
+    std::span<const FactId> row_fact = catalog.RowFacts(g);
     for (size_t r = 0; r < num_rows; ++r) {
-      bits[group.row_fact[r] * catalog.ScopeWords() + (r >> 6)] |= uint64_t{1}
-                                                                  << (r & 63);
+      bits[row_fact[r] * catalog.ScopeWords() + (r >> 6)] |= uint64_t{1} << (r & 63);
     }
   }
   return bits;
@@ -336,6 +345,234 @@ TEST(CatalogScopeBitsTest, ConcurrentFirstCallsBuildTheReferenceBitsets) {
   }
   for (std::thread& thread : threads) thread.join();
   std::vector<uint64_t> reference = ReferenceScopeBits(catalog, inst.value().num_rows);
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<size_t>(t)], reference) << t;
+}
+
+/// The eager FactCatalog::Build that stored every group's scope join, kept
+/// here as the differential reference for the lazy one: pass 1 writes each
+/// group's row -> fact ids into the group's own join, pass 2 counting-sorts
+/// the CSR lists through per-fact cursors and sums every list in order.
+struct EagerCatalog {
+  std::vector<FactGroup> groups;
+  std::vector<std::vector<FactId>> row_fact;  ///< per group, per row
+  std::vector<Fact> facts;
+  std::vector<uint32_t> offsets;  ///< CSR offsets per fact
+  std::vector<uint32_t> rows;     ///< CSR rows
+};
+
+EagerCatalog BuildEager(const SummaryInstance& instance, int max_fact_dims,
+                        int min_fact_dims) {
+  size_t num_dims = instance.dims.size();
+  size_t num_rows = instance.num_rows;
+  EagerCatalog catalog;
+  std::vector<ValueId> columns(num_dims * num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t d = 0; d < num_dims; ++d) {
+      columns[d * num_rows + r] = instance.codes[r * num_dims + d];
+    }
+  }
+  catalog.offsets.push_back(0);
+  std::vector<uint32_t> cursor;
+  GroupIndexer indexer;
+  for (uint32_t mask = 0; mask < (1u << num_dims); ++mask) {
+    if (std::popcount(mask) > max_fact_dims || std::popcount(mask) < min_fact_dims) {
+      continue;
+    }
+    uint32_t group_index = static_cast<uint32_t>(catalog.groups.size());
+    FactGroup group;
+    group.mask = mask;
+    size_t radices[kMaxGroupDims] = {};
+    const ValueId* group_columns[kMaxGroupDims] = {};
+    for (size_t d = 0; d < num_dims; ++d) {
+      if (mask & (1u << d)) {
+        radices[group.dim_positions.size()] = instance.dim_cardinalities[d];
+        group_columns[group.dim_positions.size()] = columns.data() + d * num_rows;
+        group.dim_positions.push_back(static_cast<int>(d));
+      }
+    }
+    group.first_fact = static_cast<FactId>(catalog.facts.size());
+    std::vector<FactId> row_fact(num_rows);
+    indexer.Reset({radices, group.dim_positions.size()});
+    indexer.InsertColumns(group_columns, num_rows, row_fact.data(), &cursor);
+    group.num_facts = static_cast<uint32_t>(indexer.size());
+    for (uint32_t i = 0; i < group.num_facts; ++i) {
+      catalog.facts.push_back(Fact{group_index, indexer.key(i), 0.0, 0.0});
+      uint32_t begin = catalog.offsets.back();
+      catalog.offsets.push_back(begin + cursor[i]);
+      cursor[i] = begin;
+    }
+    catalog.rows.resize(catalog.offsets.back());
+    for (size_t r = 0; r < num_rows; ++r) {
+      FactId& id = row_fact[r];
+      catalog.rows[cursor[id]++] = static_cast<uint32_t>(r);
+      id += group.first_fact;
+    }
+    for (FactId id = group.first_fact; id < group.first_fact + group.num_facts; ++id) {
+      double scope_weight = 0.0;
+      double sum = 0.0;
+      for (uint32_t k = catalog.offsets[id]; k < catalog.offsets[id + 1]; ++k) {
+        double w = instance.weight[catalog.rows[k]];
+        scope_weight += w;
+        sum += instance.target[catalog.rows[k]] * w;
+      }
+      catalog.facts[id].value = scope_weight > 0.0 ? sum / scope_weight : 0.0;
+      catalog.facts[id].scope_weight = scope_weight;
+    }
+    catalog.groups.push_back(std::move(group));
+    catalog.row_fact.push_back(std::move(row_fact));
+  }
+  return catalog;
+}
+
+/// Builds `inst` both ways and expects every field bit for bit: groups,
+/// facts, ScopeRows, ScopeBits and the lazily built scope join.
+void ExpectCatalogMatchesEager(const SummaryInstance& inst, int max_fact_dims,
+                               int min_fact_dims) {
+  SCOPED_TRACE("fact dims " + std::to_string(min_fact_dims) + ".." +
+               std::to_string(max_fact_dims));
+  auto built = FactCatalog::Build(inst, max_fact_dims, min_fact_dims);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const FactCatalog& catalog = built.value();
+  EagerCatalog eager = BuildEager(inst, max_fact_dims, min_fact_dims);
+
+  ASSERT_EQ(catalog.NumGroups(), eager.groups.size());
+  for (uint32_t g = 0; g < eager.groups.size(); ++g) {
+    const FactGroup& got = catalog.group(g);
+    EXPECT_EQ(got.mask, eager.groups[g].mask) << "group " << g;
+    EXPECT_EQ(got.dim_positions, eager.groups[g].dim_positions) << "group " << g;
+    EXPECT_EQ(got.first_fact, eager.groups[g].first_fact) << "group " << g;
+    EXPECT_EQ(got.num_facts, eager.groups[g].num_facts) << "group " << g;
+    EXPECT_EQ(catalog.GroupIndexForMask(got.mask), static_cast<int>(g));
+  }
+  ASSERT_EQ(catalog.NumFacts(), eager.facts.size());
+  for (FactId id = 0; id < eager.facts.size(); ++id) {
+    const Fact& got = catalog.fact(id);
+    EXPECT_EQ(got.group, eager.facts[id].group) << "fact " << id;
+    EXPECT_EQ(got.packed, eager.facts[id].packed) << "fact " << id;
+    EXPECT_EQ(Bits(got.value), Bits(eager.facts[id].value)) << "fact " << id;
+    EXPECT_EQ(Bits(got.scope_weight), Bits(eager.facts[id].scope_weight)) << "fact " << id;
+    std::span<const uint32_t> rows = catalog.ScopeRows(id);
+    EXPECT_EQ(std::vector<uint32_t>(rows.begin(), rows.end()),
+              std::vector<uint32_t>(eager.rows.begin() + eager.offsets[id],
+                                    eager.rows.begin() + eager.offsets[id + 1]))
+        << "fact " << id;
+  }
+  if (catalog.HasScopeBits()) {
+    for (FactId id = 0; id < eager.facts.size(); ++id) {
+      std::vector<uint64_t> bits(catalog.ScopeWords(), 0);
+      for (uint32_t r = 0; r < inst.num_rows; ++r) {
+        if (eager.row_fact[eager.facts[id].group][r] == id) {
+          bits[r >> 6] |= uint64_t{1} << (r & 63);
+        }
+      }
+      std::span<const uint64_t> got = catalog.ScopeBits(id);
+      EXPECT_EQ(std::vector<uint64_t>(got.begin(), got.end()), bits) << "fact " << id;
+    }
+  }
+  for (uint32_t g = 0; g < eager.groups.size(); ++g) {
+    std::span<const FactId> row_fact = catalog.RowFacts(g);
+    EXPECT_EQ(std::vector<FactId>(row_fact.begin(), row_fact.end()), eager.row_fact[g])
+        << "group " << g;
+  }
+}
+
+/// An instance built directly: dimension d's codes are drawn from the top
+/// used_cards[d] of dict_cards[d] values, weights are multiplicities 1-4,
+/// and targets are fractions, or with `special_targets` also NaN, +-0 and
+/// +-inf.
+SummaryInstance MakeDirectInstance(uint64_t seed, const std::vector<size_t>& dict_cards,
+                                   const std::vector<size_t>& used_cards, size_t num_rows,
+                                   bool special_targets) {
+  Rng rng(seed);
+  SummaryInstance inst;
+  for (size_t d = 0; d < dict_cards.size(); ++d) inst.dims.push_back(static_cast<int>(d));
+  inst.dim_cardinalities = dict_cards;
+  inst.num_rows = num_rows;
+  const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (size_t r = 0; r < num_rows; ++r) {
+    for (size_t d = 0; d < dict_cards.size(); ++d) {
+      inst.codes.push_back(
+          static_cast<ValueId>(dict_cards[d] - 1 - rng.NextBelow(used_cards[d])));
+    }
+    double target = static_cast<double>(rng.NextInt(0, 9)) / 7.0 + 0.1;
+    if (special_targets && rng.NextBelow(8) == 0) target = kSpecial[rng.NextBelow(5)];
+    inst.target.push_back(target);
+    inst.weight.push_back(static_cast<double>(rng.NextInt(1, 4)));
+    inst.total_weight += inst.weight.back();
+  }
+  return inst;
+}
+
+using testing::ScopedKernelOverride;
+
+TEST(CatalogEagerDifferentialTest, LazyJoinCatalogMatchesEagerBuild) {
+  struct Case {
+    std::string label;
+    SummaryInstance inst;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"dense", MakeDirectInstance(1, {5, 3, 8, 4}, {5, 3, 8, 4}, 700, false)});
+  cases.push_back({"special targets",
+                   MakeDirectInstance(2, {4, 6, 3, 5}, {4, 6, 3, 5}, 500, true)});
+  // Pairs of the first two dimensions have 90 000 slots, past
+  // GroupIndexer::kMaxDenseSlots: the hash-map path.
+  cases.push_back({"sparse", MakeDirectInstance(3, {300, 300, 5, 2}, {120, 120, 5, 2},
+                                                2000, true)});
+  ASSERT_GT(RadixProduct(std::vector<size_t>{300, 300}), GroupIndexer::kMaxDenseSlots);
+  cases.push_back({"one row", MakeDirectInstance(4, {3, 2, 5, 7}, {3, 2, 5, 7}, 1, true)});
+  cases.push_back({"no rows", MakeDirectInstance(5, {3, 2, 5, 7}, {3, 2, 5, 7}, 0, false)});
+  cases.push_back({"no dimensions", MakeDirectInstance(6, {}, {}, 90, true)});
+  for (const simd::Kernels* kernels : simd::AllImplementations()) {
+    SCOPED_TRACE(kernels->name);
+    ScopedKernelOverride override_kernels(kernels);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.label);
+      int max_dims = static_cast<int>(std::min<size_t>(c.inst.dims.size(), kMaxGroupDims));
+      for (int max_fact_dims = 0; max_fact_dims <= max_dims; ++max_fact_dims) {
+        for (int min_fact_dims = 0; min_fact_dims <= max_fact_dims; ++min_fact_dims) {
+          ExpectCatalogMatchesEager(c.inst, max_fact_dims, min_fact_dims);
+        }
+      }
+    }
+  }
+}
+
+TEST(CatalogRowFactTest, ConcurrentFirstRowInScopeCallsBuildTheJoin) {
+  // Build leaves the scope join unbuilt; four threads race the first
+  // RowInScope() calls on one catalog (the call_once build) and each
+  // rebuilds every group's join from them.
+  SummaryInstance inst = MakeDirectInstance(8, {6, 7, 5, 4}, {6, 7, 5, 4}, 300, false);
+  auto built = FactCatalog::Build(inst, 3);
+  ASSERT_TRUE(built.ok());
+  const FactCatalog& catalog = built.value();
+  size_t n = inst.num_rows;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<FactId>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&catalog, &seen, n, t] {
+      // Start at different facts so the threads do not all enter through
+      // the same id.
+      size_t num_facts = catalog.NumFacts();
+      std::vector<FactId>& out = seen[static_cast<size_t>(t)];
+      out.assign(catalog.NumGroups() * n, kNoFact);
+      for (size_t i = 0; i < num_facts; ++i) {
+        FactId id = static_cast<FactId>((i + static_cast<size_t>(t) * num_facts / kThreads) %
+                                        num_facts);
+        for (size_t r = 0; r < n; ++r) {
+          if (catalog.RowInScope(r, id)) out[catalog.fact(id).group * n + r] = id;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EagerCatalog eager = BuildEager(inst, 3, 0);
+  std::vector<FactId> reference;
+  for (const std::vector<FactId>& row_fact : eager.row_fact) {
+    reference.insert(reference.end(), row_fact.begin(), row_fact.end());
+  }
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[static_cast<size_t>(t)], reference) << t;
 }
 

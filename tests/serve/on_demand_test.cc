@@ -22,6 +22,7 @@
 #include "serve/engine_host.h"
 #include "speech/speech.h"
 #include "storage/datasets.h"
+#include "testing/kernel_override.h"
 #include "util/simd.h"
 
 namespace vq {
@@ -30,13 +31,7 @@ namespace {
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-class ScopedKernelOverride {
- public:
-  explicit ScopedKernelOverride(const simd::Kernels* kernels) {
-    simd::SetActiveForTesting(kernels);
-  }
-  ~ScopedKernelOverride() { simd::SetActiveForTesting(nullptr); }
-};
+using testing::ScopedKernelOverride;
 
 /// Only region queries are pre-processed; every other predicate set below
 /// misses the store and is solved on demand.

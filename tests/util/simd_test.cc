@@ -22,6 +22,7 @@
 #endif
 
 #include "core/greedy.h"
+#include "testing/kernel_override.h"
 #include "testing/random_instance.h"
 #include "util/simd.h"
 #include "util/small_vector.h"
@@ -306,13 +307,7 @@ TEST(SimdSmallVectorTest, StaysInlineThenSpills) {
 // greedy paths must produce *Reference-equal results no matter which kernel
 // table dispatch hands them.
 
-class ScopedKernelOverride {
- public:
-  explicit ScopedKernelOverride(const simd::Kernels* kernels) {
-    simd::SetActiveForTesting(kernels);
-  }
-  ~ScopedKernelOverride() { simd::SetActiveForTesting(nullptr); }
-};
+using testing::ScopedKernelOverride;
 
 TEST(SimdEvaluatorEquivalenceTest, ErrorMatchesReferenceUnderEveryKernelTable) {
   const ConflictModel kModels[] = {ConflictModel::kClosest, ConflictModel::kFarthest,

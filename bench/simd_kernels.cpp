@@ -174,9 +174,6 @@ int main() {
     }
     Sink(sum);
   }));
-  kernels.push_back(bench_kernel("weighted_sum", [&](const vq::simd::Kernels& k) {
-    Sink(k.weighted_sum(prior_dev.data(), weights.data(), n));
-  }));
   kernels.push_back(
       bench_kernel("weighted_abs_dev", [&](const vq::simd::Kernels& k) {
         Sink(k.weighted_abs_dev(instance.prior, targets.data(), weights.data(), n));

@@ -53,14 +53,14 @@ Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
   std::vector<double> solve_seconds(queries.size(), 0.0);
   // Every problem's slice walks the table's posting lists; building the
   // inverted index once up front keeps the first wave of parallel solves
-  // from serializing on the lazy build. On a multi-shard (paper-scale) table
-  // the build itself runs shard builds on SharedPool() (util/thread_pool.h),
-  // with this thread building shards too. Warmed even with zero generated
-  // queries: pre-processing is the dynamic registry's last step before a
-  // dataset becomes routable, and the serving layer's first on-demand miss
-  // hits the index immediately. Touching the SIMD kernel table latches the
-  // runtime CPU dispatch (one probe, see util/simd.h) before the workers fan
-  // out, so every solve runs on the selected kernels from the first query on.
+  // from serializing on the lazy build. The build itself runs one dimension
+  // per task on SharedPool() (util/thread_pool.h), with this thread building
+  // dimensions too. Warmed even with zero generated queries: pre-processing
+  // is the dynamic registry's last step before a dataset becomes routable,
+  // and the serving layer's first on-demand miss hits the index
+  // immediately. Touching the SIMD kernel table latches the runtime CPU
+  // dispatch (one probe, see util/simd.h) before the workers fan out, so
+  // every solve runs on the selected kernels from the first query on.
   (void)table.index();
   (void)simd::Active();
 

@@ -295,18 +295,15 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
       checks.emplace_back(table.DimColumn(static_cast<size_t>(p.dim)), p.value);
     }
     const EqPredicate& p = query_predicates[rarest];
-    for (const ShardIndex& shard : index.shards()) {
-      for (uint32_t local : shard.Postings(static_cast<size_t>(p.dim), p.value)) {
-        uint32_t r = shard.base() + local;
-        bool match = true;
-        for (const auto& [column, value] : checks) {
-          if (column[r] != value) {
-            match = false;
-            break;
-          }
+    for (uint32_t r : index.Postings(static_cast<size_t>(p.dim), p.value)) {
+      bool match = true;
+      for (const auto& [column, value] : checks) {
+        if (column[r] != value) {
+          match = false;
+          break;
         }
-        if (match) visit(r);
       }
+      if (match) visit(r);
     }
   }
 

@@ -112,8 +112,8 @@ class TableMerge {
   /// Returns exactly what BuildInstance(table, query_predicates,
   /// target_index, options) returns, statuses included, without a filter
   /// pass or a hash merge: walks the shortest posting list of the
-  /// predicates shard by shard, checks the others against the columns and
-  /// emits the matching rows that start a group.
+  /// predicates, checks the others against the columns and emits the
+  /// matching rows that start a group.
   Result<SummaryInstance> Slice(const PredicateSet& query_predicates,
                                 const InstanceOptions& options = {}) const;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "relational/scan_planner.h"
-
 namespace vq {
 
 Result<EqPredicate> MakePredicate(const Table& table, const std::string& dim_name,
@@ -39,10 +37,6 @@ bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates) 
     if (table.DimCode(row, static_cast<size_t>(p.dim)) != p.value) return false;
   }
   return true;
-}
-
-std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
-  return MergeScanPartials(FilterRowsPartials(table, predicates));
 }
 
 bool IsSubsetOf(const PredicateSet& subset, const PredicateSet& superset) {

@@ -37,7 +37,8 @@ Status NormalizePredicates(PredicateSet* predicates);
 bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates);
 
 /// Row ids of all rows satisfying the conjunction (the sigma operator),
-/// ascending; planned from the table's index (relational/scan_planner.h).
+/// ascending; planned from the table's index and defined with the planner
+/// (relational/scan_planner.cc).
 std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates);
 
 /// True if `subset` is contained in `superset` (predicate-set inclusion,

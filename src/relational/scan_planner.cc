@@ -68,92 +68,11 @@ void GallopIntersect(std::vector<uint32_t>* result, std::span<const uint32_t> li
   result->resize(kept);
 }
 
-// ----------------------------------------------------- per-shard execution
-// Each shard answers the filter over ITS posting lists or ITS slice of the
-// table's columns, emitting shard-local ascending row ids (the ScanPartial
-// contract). For a single-shard table these are exactly the pre-shard
-// global-id paths, so results are bit-identical by construction; for
-// multi-shard tables shard-order concatenation restores the global order.
-
-/// Every row of one shard.
-ScanPartial ShardAllRows(const ShardIndex& shard) {
-  ScanPartial partial{shard.ordinal(), shard.base(), {}};
-  partial.rows.resize(shard.num_rows());
-  std::iota(partial.rows.begin(), partial.rows.end(), 0);
-  return partial;
-}
-
-/// Galloping intersection over one shard, shortest shard-local list first.
-ScanPartial ShardFilterPostings(const ShardIndex& shard,
-                                const PredicateSet& predicates) {
-  ScanPartial partial{shard.ordinal(), shard.base(), {}};
-  std::vector<size_t> order(predicates.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return shard.Count(static_cast<size_t>(predicates[a].dim), predicates[a].value) <
-           shard.Count(static_cast<size_t>(predicates[b].dim), predicates[b].value);
-  });
-  std::span<const uint32_t> driver = shard.Postings(
-      static_cast<size_t>(predicates[order[0]].dim), predicates[order[0]].value);
-  partial.rows.assign(driver.begin(), driver.end());
-  for (size_t i = 1; i < order.size() && !partial.rows.empty(); ++i) {
-    const EqPredicate& p = predicates[order[i]];
-    GallopIntersect(&partial.rows,
-                    shard.Postings(static_cast<size_t>(p.dim), p.value));
-  }
-  return partial;
-}
-
-/// Column scan over one shard's row range of the table's contiguous columns.
-ScanPartial ShardFilterColumnScan(const Table& table, const ShardIndex& shard,
-                                  const PredicateSet& predicates) {
-  if (predicates.empty()) return ShardAllRows(shard);
-  ScanPartial partial{shard.ordinal(), shard.base(), {}};
-  uint32_t base = shard.base();
-  uint32_t rows = shard.num_rows();
-  // Both passes write every candidate and advance by the comparison instead
-  // of branching on it: the scan runs when the predicates are unselective,
-  // where a branch per row mispredicts often (3-4x slower on the scan
-  // bench's airline+season+time case).
-  // First predicate: one pass over the shard's slice of one code column,
-  // sized by a counting pass so the output holds the matches plus the one
-  // slot the last unmatched write lands in.
-  {
-    const ValueId* column =
-        table.DimColumn(static_cast<size_t>(predicates[0].dim)).data() + base;
-    ValueId want = predicates[0].value;
-    partial.rows.resize(static_cast<size_t>(std::count(column, column + rows, want)) + 1);
-    size_t kept = 0;
-    for (uint32_t r = 0; r < rows; ++r) {
-      partial.rows[kept] = r;
-      kept += column[r] == want;
-    }
-    partial.rows.resize(kept);
-  }
-  // Each further predicate refines the survivors in place against its column.
-  for (size_t i = 1; i < predicates.size() && !partial.rows.empty(); ++i) {
-    const ValueId* column =
-        table.DimColumn(static_cast<size_t>(predicates[i].dim)).data() + base;
-    ValueId want = predicates[i].value;
-    size_t kept = 0;
-    for (uint32_t row : partial.rows) {
-      partial.rows[kept] = row;
-      kept += column[row] == want;
-    }
-    partial.rows.resize(kept);
-  }
-  return partial;
-}
-
-/// `run(shard)` for every shard of `table`, in shard order, on the calling
-/// thread.
-template <typename RunShard>
-ScanPartials EachShard(const Table& table, RunShard run) {
-  const TableIndex& index = table.index();
-  ScanPartials partials;
-  partials.reserve(index.num_shards());
-  for (const ShardIndex& shard : index.shards()) partials.push_back(run(shard));
-  return partials;
+/// Every row id of `table`.
+std::vector<uint32_t> AllRows(const Table& table) {
+  std::vector<uint32_t> rows(table.NumRows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
 }
 
 }  // namespace
@@ -207,21 +126,74 @@ ScanPlan PlanScan(const Table& table, const PredicateSet& predicates) {
   return plan;
 }
 
-ScanPartials FilterRowsPartials(const Table& table, const PredicateSet& predicates) {
-  ScanStrategy strategy = PlanScan(table, predicates).strategy;
-  return EachShard(table, [&](const ShardIndex& shard) {
-    switch (strategy) {
-      case ScanStrategy::kAllRows:
-        return ShardAllRows(shard);
-      case ScanStrategy::kEmptyResult:
-        return ScanPartial{shard.ordinal(), shard.base(), {}};
-      case ScanStrategy::kPostings:
-        return ShardFilterPostings(shard, predicates);
-      case ScanStrategy::kColumnScan:
-        break;
-    }
-    return ShardFilterColumnScan(table, shard, predicates);
+std::vector<uint32_t> FilterRowsPostings(const Table& table,
+                                         const PredicateSet& predicates) {
+  const TableIndex& index = table.index();
+  std::vector<size_t> order(predicates.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return index.Count(static_cast<size_t>(predicates[a].dim), predicates[a].value) <
+           index.Count(static_cast<size_t>(predicates[b].dim), predicates[b].value);
   });
+  std::span<const uint32_t> driver = index.Postings(
+      static_cast<size_t>(predicates[order[0]].dim), predicates[order[0]].value);
+  std::vector<uint32_t> rows(driver.begin(), driver.end());
+  for (size_t i = 1; i < order.size() && !rows.empty(); ++i) {
+    const EqPredicate& p = predicates[order[i]];
+    GallopIntersect(&rows, index.Postings(static_cast<size_t>(p.dim), p.value));
+  }
+  return rows;
+}
+
+std::vector<uint32_t> FilterRowsColumnScan(const Table& table,
+                                           const PredicateSet& predicates) {
+  if (predicates.empty()) return AllRows(table);
+  uint32_t num_rows = static_cast<uint32_t>(table.NumRows());
+  // Both passes write every candidate and advance by the comparison instead
+  // of branching on it: the scan runs when the predicates are unselective,
+  // where a branch per row mispredicts often (3-4x slower on the scan
+  // bench's airline+season+time case).
+  // First predicate: one pass over one code column, sized by a counting
+  // pass so the output holds the matches plus the one slot the last
+  // unmatched write lands in.
+  std::vector<uint32_t> rows;
+  {
+    const ValueId* column = table.DimColumn(static_cast<size_t>(predicates[0].dim)).data();
+    ValueId want = predicates[0].value;
+    rows.resize(static_cast<size_t>(std::count(column, column + num_rows, want)) + 1);
+    size_t kept = 0;
+    for (uint32_t r = 0; r < num_rows; ++r) {
+      rows[kept] = r;
+      kept += column[r] == want;
+    }
+    rows.resize(kept);
+  }
+  // Each further predicate refines the survivors in place against its column.
+  for (size_t i = 1; i < predicates.size() && !rows.empty(); ++i) {
+    const ValueId* column = table.DimColumn(static_cast<size_t>(predicates[i].dim)).data();
+    ValueId want = predicates[i].value;
+    size_t kept = 0;
+    for (uint32_t row : rows) {
+      rows[kept] = row;
+      kept += column[row] == want;
+    }
+    rows.resize(kept);
+  }
+  return rows;
+}
+
+std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
+  switch (PlanScan(table, predicates).strategy) {
+    case ScanStrategy::kAllRows:
+      return AllRows(table);
+    case ScanStrategy::kEmptyResult:
+      return {};
+    case ScanStrategy::kPostings:
+      return FilterRowsPostings(table, predicates);
+    case ScanStrategy::kColumnScan:
+      break;
+  }
+  return FilterRowsColumnScan(table, predicates);
 }
 
 std::vector<ScanPartials> FilterRowsMultiPartials(
@@ -229,23 +201,18 @@ std::vector<ScanPartials> FilterRowsMultiPartials(
   std::vector<ScanPartials> out;
   out.reserve(predicate_sets.size());
   for (const PredicateSet* predicates : predicate_sets) {
-    out.push_back(FilterRowsPartials(table, *predicates));
+    out.emplace_back().push_back(FilterRows(table, *predicates));
   }
   return out;
 }
 
-std::vector<uint32_t> FilterRowsPostings(const Table& table,
-                                         const PredicateSet& predicates) {
-  return MergeScanPartials(EachShard(table, [&](const ShardIndex& shard) {
-    return ShardFilterPostings(shard, predicates);
-  }));
-}
-
-std::vector<uint32_t> FilterRowsColumnScan(const Table& table,
-                                           const PredicateSet& predicates) {
-  return MergeScanPartials(EachShard(table, [&](const ShardIndex& shard) {
-    return ShardFilterColumnScan(table, shard, predicates);
-  }));
+std::vector<uint32_t> MergeScanPartials(ScanPartials partials) {
+  if (partials.size() == 1) return std::move(partials[0]);
+  std::vector<uint32_t> merged;
+  for (const std::vector<uint32_t>& partial : partials) {
+    merged.insert(merged.end(), partial.begin(), partial.end());
+  }
+  return merged;
 }
 
 }  // namespace vq

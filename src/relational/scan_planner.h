@@ -8,12 +8,6 @@
 // bit-identical to the seed row-at-a-time loop
 // (tests/relational/scan_planner_test.cc property-tests all three).
 //
-// A filter runs shard by shard on the calling thread: each shard answers
-// over its own posting lists (or its slice of the columns) into a
-// ScanPartial (relational/scan_partial.h), and the partials merge in shard
-// order, which keeps results bit-identical to the single-shard path
-// (tests/relational/sharded_scan_test.cc).
-//
 // No serving or pre-processing path filters: both slice a per-target
 // TableMerge (facts/instance.h). The callers are BuildInstance /
 // PreparedProblem::Prepare, benches and tests.
@@ -25,7 +19,6 @@
 #include <vector>
 
 #include "relational/predicate.h"
-#include "relational/scan_partial.h"
 #include "storage/table.h"
 
 namespace vq {
@@ -69,20 +62,24 @@ struct ScanPlan {
 /// column scan.
 ScanPlan PlanScan(const Table& table, const PredicateSet& predicates);
 
-/// Plan + execute, returning the per-shard partials unmerged (ascending
-/// shard order, one entry per shard). FilterRows is exactly
-/// MergeScanPartials() of this.
-ScanPartials FilterRowsPartials(const Table& table, const PredicateSet& predicates);
+/// One filter answer split into partial row-id lists: each entry holds
+/// ascending row ids, all above the previous entry's. Nothing in the
+/// library reads this shape; it stays, with FilterRowsMultiPartials and
+/// MergeScanPartials, only because perfbench's serve replay calls them.
+using ScanPartials = std::vector<std::vector<uint32_t>>;
 
-/// FilterRowsPartials for each set: out[i][s] is predicate set i's answer
-/// on shard s.
+/// FilterRows for each set, as one partial per set: out[i] is predicate
+/// set i's answer.
 std::vector<ScanPartials> FilterRowsMultiPartials(
     const Table& table, const std::vector<const PredicateSet*>& predicate_sets);
 
+/// Concatenates partials into one ascending row id vector; one partial
+/// moves straight through with no copy.
+std::vector<uint32_t> MergeScanPartials(ScanPartials partials);
+
 /// The two execution paths, exposed for equivalence tests and benches.
-/// Postings: per-shard galloping intersection, shortest list first. Scan:
-/// one column at a time per shard, first predicate's matches refined by each
-/// further column.
+/// Postings: galloping intersection, shortest list first. Scan: one column
+/// at a time, first predicate's matches refined by each further column.
 std::vector<uint32_t> FilterRowsPostings(const Table& table,
                                          const PredicateSet& predicates);
 std::vector<uint32_t> FilterRowsColumnScan(const Table& table,

@@ -1,128 +1,85 @@
-// Table-level facade over the per-shard inverted indexes.
+// Inverted index over a Table's dimension columns.
 //
-// Since the sharded-storage refactor the real index state lives in
-// ShardIndex (storage/shard.h): a table's rows are split into contiguous
-// shards of ~Table::TargetShardRows() rows, each owning CSR-packed posting
-// lists (shard-local row ids) and per-(dim,value) counts/target-sums.
-// TableIndex builds and owns that shard vector plus merged per-(dim,value)
-// aggregates, so single-predicate counts/averages stay O(1) at table level
-// regardless of shard count, and conjunctive filters intersect posting
-// lists per shard (relational/scan_planner.h merges the partial results).
-// The index is built once per table and is immutable after construction;
-// Table owns one lazily (see Table::index()).
+// One CSR per dimension: `offsets` (cardinality + 1 entries) and `rows`
+// (every row id once, grouped by value, ascending within each value), so
+// Postings is one span and Count one subtraction. Both arrays are
+// ColumnStorage, so a snapshot-loaded index views them in the mapping
+// (storage/snapshot.h) instead of rebuilding them. The index is built once
+// per table and is immutable after construction; Table owns one lazily
+// (see Table::index()).
 #ifndef VQ_STORAGE_INDEX_H_
 #define VQ_STORAGE_INDEX_H_
 
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "storage/shard.h"
+#include "storage/column.h"
 
 namespace vq {
 
 class Table;
 using ValueId = uint32_t;
 
-/// \brief Immutable sharded inverted index over all dimension columns of one
-/// Table.
-///
-/// Within each shard, posting lists are CSR-packed per dimension with
-/// strictly increasing SHARD-LOCAL row ids (build order); global row ids are
-/// shard base + local id, so shard-order concatenation of per-shard results
-/// is globally ascending -- what posting-list intersection and the planner's
-/// partial merge rely on.
+/// \brief Immutable inverted index over all dimension columns of one Table.
 class TableIndex {
  public:
-  /// Builds the index for `table`: one ShardIndex per ~TargetShardRows()
-  /// rows (built in parallel on SharedPool() when there are several), plus
-  /// the merged table-level aggregates. Values interned after the build are
-  /// simply absent; Table invalidates its cached index on append, so this
-  /// cannot be observed through Table::index().
+  /// Builds the index for `table`, one dimension per task on SharedPool()
+  /// (the calling thread builds dimensions too). Values interned after the
+  /// build are simply absent; Table invalidates its cached index on append,
+  /// so this cannot be observed through Table::index().
   static TableIndex Build(const Table& table);
 
-  /// Per-dimension merged aggregates for FromParts: spans into an externally
-  /// pinned buffer (the snapshot mapping). `counts` has cardinality entries,
-  /// `sums` has cardinality x num_targets entries.
-  struct MergedViews {
-    std::span<const uint32_t> counts;
-    std::span<const double> sums;
+  /// One dimension's CSR arrays for FromViews: spans into an externally
+  /// pinned buffer (the snapshot mapping).
+  struct DimViews {
+    std::span<const uint32_t> offsets;
+    std::span<const uint32_t> rows;
   };
 
-  /// Zero-copy counterpart of Build: adopts pre-built shards (themselves
-  /// ShardIndex::FromViews products) and merged aggregates without touching
-  /// a row. Shard ordinals are (re)assigned in vector order. The caller pins
-  /// the buffer behind every span.
-  static TableIndex FromParts(size_t num_rows, size_t num_targets,
-                              std::vector<ShardIndex> shards,
-                              std::vector<MergedViews> merged);
+  /// Zero-copy counterpart of Build: adopts pre-built CSR arrays as views
+  /// without touching a row. The caller (storage/snapshot.cc) pins the
+  /// buffer behind every span and has checked the CSR invariants.
+  static TableIndex FromViews(size_t num_rows, std::vector<DimViews> dims);
 
-  size_t num_dims() const { return merged_counts_.size(); }
+  size_t num_dims() const { return offsets_.size(); }
   size_t num_rows() const { return num_rows_; }
 
-  size_t num_shards() const { return shards_.size(); }
-  const ShardIndex& shard(size_t s) const { return shards_[s]; }
-  std::span<const ShardIndex> shards() const { return shards_; }
-
-  /// Sorted row ids with `value` in dimension `dim`. Only valid on
-  /// single-shard tables (where shard-local ids ARE global ids); multi-shard
-  /// tables answer postings queries per shard -- the planner never needs a
-  /// table-level contiguous span, and materializing one would double the
-  /// index footprint. Values beyond the dictionary size at build time
-  /// (including the kNoValue sentinel) yield an empty span.
+  /// Ascending row ids with `value` in dimension `dim`. Values beyond the
+  /// dictionary size at build time (including the kNoValue sentinel, which
+  /// would wrap a `value + 1` comparison) yield an empty span.
   std::span<const uint32_t> Postings(size_t dim, ValueId value) const {
-    assert(shards_.size() == 1 &&
-           "table-level Postings() requires a single-shard table");
-    return shards_[0].Postings(dim, value);
+    const auto& offsets = offsets_[dim];
+    if (value >= offsets.size() - 1) return {};
+    const uint32_t* list_base = rows_[dim].data();
+    return {list_base + offsets[value], list_base + offsets[value + 1]};
   }
 
-  /// Number of rows with `value` in dimension `dim` (O(1), merged over all
-  /// shards at build time).
+  /// Number of rows with `value` in dimension `dim` (O(1)).
   size_t Count(size_t dim, ValueId value) const {
-    const auto& counts = merged_counts_[dim];
-    if (value >= counts.size()) return 0;
-    return counts[value];
+    const auto& offsets = offsets_[dim];
+    if (value >= offsets.size() - 1) return 0;
+    return offsets[value + 1] - offsets[value];
   }
 
-  /// Sum of target column `target` over rows with `value` in dimension `dim`
-  /// (O(1)); with Count this answers single-predicate averages without
-  /// touching a single row.
-  double TargetSum(size_t dim, ValueId value, size_t target) const {
-    const auto& sums = merged_sums_[dim];
-    if (value >= merged_counts_[dim].size()) return 0.0;
-    return sums[value * num_targets_ + target];
+  /// Raw CSR arrays for one dimension, exactly as stored; the snapshot
+  /// writer serializes these verbatim for FromViews to adopt.
+  std::span<const uint32_t> OffsetsArray(size_t dim) const {
+    return offsets_[dim].span();
   }
-
-  /// Average of `target` over rows with `value` in `dim`; 0 on empty scope.
-  double TargetAverage(size_t dim, ValueId value, size_t target) const {
-    size_t count = Count(dim, value);
-    return count > 0 ? TargetSum(dim, value, target) / static_cast<double>(count)
-                     : 0.0;
+  std::span<const uint32_t> RowsArray(size_t dim) const {
+    return rows_[dim].span();
   }
-
-  /// Raw merged-aggregate arrays for one dimension, exactly as stored; the
-  /// snapshot writer serializes these verbatim for FromParts to adopt.
-  std::span<const uint32_t> MergedCountsArray(size_t dim) const {
-    return merged_counts_[dim].span();
-  }
-  std::span<const double> MergedSumsArray(size_t dim) const {
-    return merged_sums_[dim].span();
-  }
-  size_t num_targets() const { return num_targets_; }
 
   /// Approximate heap footprint (counted by Table::EstimateBytes).
   size_t EstimateBytes() const;
 
  private:
   size_t num_rows_ = 0;
-  size_t num_targets_ = 0;
-  std::vector<ShardIndex> shards_;
-  /// Per dim: value -> row count, summed over shards; length cardinality.
-  /// ColumnStorage so a snapshot-loaded index can view the arrays in place.
-  std::vector<ColumnStorage<uint32_t>> merged_counts_;
-  /// Per dim: cardinality x num_targets sums, row-major by value.
-  std::vector<ColumnStorage<double>> merged_sums_;
+  /// Per dim: value -> start offset into rows_[dim]; length cardinality + 1.
+  std::vector<ColumnStorage<uint32_t>> offsets_;
+  /// Per dim: posting lists back to back, ascending row ids per value.
+  std::vector<ColumnStorage<uint32_t>> rows_;
 };
 
 }  // namespace vq

@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <span>
@@ -7,11 +8,11 @@
 #include <vector>
 
 #include "storage/index.h"
-#include "storage/shard.h"
 #include "util/atomic_file.h"
 #include "util/fault.h"
 #include "util/json.h"
 #include "util/mmap_file.h"
+#include "util/thread_pool.h"
 #include "util/xxhash64.h"
 
 namespace vq {
@@ -84,6 +85,26 @@ Result<std::span<const T>> Section(const MmapFile& file, const Json* json,
                         static_cast<size_t>(count));
 }
 
+/// True when `offsets` and `rows` form one dimension's CSR over `num_rows`
+/// rows of a `cardinality`-value dictionary: offsets run from 0 to
+/// num_rows without decreasing, and every row id is in range. A checksum
+/// only proves the writer's bytes arrived; this keeps a file edited and
+/// re-hashed from handing Slice or FilterRows a row id past the columns.
+bool ValidPostings(std::span<const uint32_t> offsets,
+                   std::span<const uint32_t> rows, size_t cardinality,
+                   size_t num_rows) {
+  if (offsets.size() != cardinality + 1 || rows.size() != num_rows ||
+      offsets[0] != 0 || offsets[cardinality] != num_rows) {
+    return false;
+  }
+  for (size_t v = 0; v < cardinality; ++v) {
+    if (offsets[v] > offsets[v + 1]) return false;
+  }
+  uint32_t max_row = 0;
+  for (uint32_t row : rows) max_row = std::max(max_row, row);
+  return rows.empty() || max_row < num_rows;
+}
+
 }  // namespace
 
 Result<size_t> WriteSnapshot(const std::string& path, const Table& table,
@@ -104,8 +125,6 @@ Result<size_t> WriteSnapshot(const std::string& path, const Table& table,
   Json meta = Json::Object();
   meta.Set("table_name", Json::Str(table.name()));
   meta.Set("num_rows", Json::Int(static_cast<int64_t>(table.NumRows())));
-  meta.Set("target_shard_rows",
-           Json::Int(static_cast<int64_t>(table.TargetShardRows())));
   meta.Set("config_fingerprint", Json::Str(config_fingerprint));
   meta.Set("table_fingerprint", Json::Str(table_fingerprint));
 
@@ -122,6 +141,8 @@ Result<size_t> WriteSnapshot(const std::string& path, const Table& table,
     }
     dim.Set("values", std::move(values));
     dim.Set("column", blob.Append(table.DimColumn(d)));
+    dim.Set("posting_offsets", blob.Append(index.OffsetsArray(d)));
+    dim.Set("posting_rows", blob.Append(index.RowsArray(d)));
     dims.Append(std::move(dim));
   }
   meta.Set("dims", std::move(dims));
@@ -135,34 +156,6 @@ Result<size_t> WriteSnapshot(const std::string& path, const Table& table,
     targets.Append(std::move(target));
   }
   meta.Set("targets", std::move(targets));
-
-  Json shards = Json::Array();
-  for (size_t s = 0; s < index.num_shards(); ++s) {
-    const ShardIndex& shard = index.shard(s);
-    Json shard_json = Json::Object();
-    shard_json.Set("base", Json::Int(static_cast<int64_t>(shard.base())));
-    shard_json.Set("rows", Json::Int(static_cast<int64_t>(shard.num_rows())));
-    Json shard_dims = Json::Array();
-    for (size_t d = 0; d < table.NumDims(); ++d) {
-      Json arrays = Json::Object();
-      arrays.Set("offsets", blob.Append(shard.OffsetsArray(d)));
-      arrays.Set("rows", blob.Append(shard.RowsArray(d)));
-      arrays.Set("sums", blob.Append(shard.SumsArray(d)));
-      shard_dims.Append(std::move(arrays));
-    }
-    shard_json.Set("dims", std::move(shard_dims));
-    shards.Append(std::move(shard_json));
-  }
-  meta.Set("shards", std::move(shards));
-
-  Json merged = Json::Array();
-  for (size_t d = 0; d < table.NumDims(); ++d) {
-    Json arrays = Json::Object();
-    arrays.Set("counts", blob.Append(index.MergedCountsArray(d)));
-    arrays.Set("sums", blob.Append(index.MergedSumsArray(d)));
-    merged.Append(std::move(arrays));
-  }
-  meta.Set("merged", std::move(merged));
 
   std::string speech_json = store.ToJson(table).Dump();
   Json speech = Json::Object();
@@ -242,18 +235,12 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   size_t num_rows = static_cast<size_t>(meta.GetInt("num_rows", -1));
   const Json* dims = meta.Get("dims");
   const Json* targets = meta.Get("targets");
-  const Json* shards = meta.Get("shards");
-  const Json* merged = meta.Get("merged");
   if (meta.GetInt("num_rows", -1) < 0 || dims == nullptr ||
-      !dims->is_array() || targets == nullptr || !targets->is_array() ||
-      shards == nullptr || !shards->is_array() || merged == nullptr ||
-      !merged->is_array() || merged->Size() != dims->Size()) {
+      !dims->is_array() || targets == nullptr || !targets->is_array()) {
     return Status::ParseError("snapshot '" + path + "' meta schema invalid");
   }
 
   Table table(meta.GetString("table_name", "snapshot"));
-  table.SetTargetShardRows(static_cast<size_t>(
-      meta.GetInt("target_shard_rows", Table::kDefaultTargetShardRows)));
   for (size_t d = 0; d < dims->Size(); ++d) {
     const Json& dim = dims->At(d);
     table.AddDimColumn(dim.GetString("name", ""));
@@ -274,14 +261,32 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
                           target.GetString("unit", ""));
   }
   table.SetAdoptedRows(num_rows);
+  std::vector<TableIndex::DimViews> postings(dims->Size());
   for (size_t d = 0; d < dims->Size(); ++d) {
-    VQ_ASSIGN_OR_RETURN(
-        std::span<const ValueId> column,
-        Section<ValueId>(file, dims->At(d).Get("column"), "dim column"));
+    const Json& dim = dims->At(d);
+    VQ_ASSIGN_OR_RETURN(std::span<const ValueId> column,
+                        Section<ValueId>(file, dim.Get("column"), "dim column"));
     if (column.size() != num_rows) {
       return Status::ParseError("snapshot '" + path + "' dim column row count mismatch");
     }
     table.AdoptDimColumnView(d, column);
+    VQ_ASSIGN_OR_RETURN(postings[d].offsets, Section<uint32_t>(
+        file, dim.Get("posting_offsets"), "posting offsets"));
+    VQ_ASSIGN_OR_RETURN(postings[d].rows, Section<uint32_t>(
+        file, dim.Get("posting_rows"), "posting rows"));
+  }
+  // Checking reads every row id once, so it runs one dimension per task on
+  // the shared pool, as TableIndex::Build writes them.
+  std::vector<char> valid(dims->Size());
+  ParallelFor(SharedPool(), dims->Size(), [&](size_t d) {
+    valid[d] = ValidPostings(postings[d].offsets, postings[d].rows,
+                             table.dict(d).size(), num_rows);
+  });
+  for (size_t d = 0; d < dims->Size(); ++d) {
+    if (!valid[d]) {
+      return Status::ParseError("snapshot '" + path + "' posting lists of dim '" +
+                                table.DimName(d) + "' inconsistent");
+    }
   }
   for (size_t t = 0; t < targets->Size(); ++t) {
     VQ_ASSIGN_OR_RETURN(
@@ -293,52 +298,8 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
     table.AdoptTargetColumnView(t, column);
   }
 
-  size_t num_targets = targets->Size();
-  std::vector<ShardIndex> shard_indexes;
-  shard_indexes.reserve(shards->Size());
-  for (size_t s = 0; s < shards->Size(); ++s) {
-    const Json& shard_json = shards->At(s);
-    const Json* shard_dims = shard_json.Get("dims");
-    if (shard_dims == nullptr || !shard_dims->is_array() ||
-        shard_dims->Size() != dims->Size()) {
-      return Status::ParseError("snapshot '" + path + "' shard schema invalid");
-    }
-    std::vector<ShardIndex::DimViews> views(dims->Size());
-    for (size_t d = 0; d < dims->Size(); ++d) {
-      const Json& arrays = shard_dims->At(d);
-      VQ_ASSIGN_OR_RETURN(views[d].offsets, Section<uint32_t>(
-          file, arrays.Get("offsets"), "shard offsets"));
-      VQ_ASSIGN_OR_RETURN(views[d].rows, Section<uint32_t>(
-          file, arrays.Get("rows"), "shard rows"));
-      VQ_ASSIGN_OR_RETURN(views[d].sums, Section<double>(
-          file, arrays.Get("sums"), "shard sums"));
-      if (views[d].offsets.size() != table.dict(d).size() + 1 ||
-          views[d].sums.size() != table.dict(d).size() * num_targets) {
-        return Status::ParseError("snapshot '" + path + "' shard CSR shape mismatch");
-      }
-    }
-    shard_indexes.push_back(ShardIndex::FromViews(
-        static_cast<uint32_t>(shard_json.GetInt("base", 0)),
-        static_cast<uint32_t>(shard_json.GetInt("rows", 0)), num_targets,
-        std::move(views)));
-  }
-
-  std::vector<TableIndex::MergedViews> merged_views(dims->Size());
-  for (size_t d = 0; d < dims->Size(); ++d) {
-    const Json& arrays = merged->At(d);
-    VQ_ASSIGN_OR_RETURN(merged_views[d].counts, Section<uint32_t>(
-        file, arrays.Get("counts"), "merged counts"));
-    VQ_ASSIGN_OR_RETURN(merged_views[d].sums, Section<double>(
-        file, arrays.Get("sums"), "merged sums"));
-    if (merged_views[d].counts.size() != table.dict(d).size() ||
-        merged_views[d].sums.size() != table.dict(d).size() * num_targets) {
-      return Status::ParseError("snapshot '" + path + "' merged aggregate shape mismatch");
-    }
-  }
-
-  table.AdoptIndex(std::make_unique<const TableIndex>(TableIndex::FromParts(
-      num_rows, num_targets, std::move(shard_indexes),
-      std::move(merged_views))));
+  table.AdoptIndex(std::make_unique<const TableIndex>(
+      TableIndex::FromViews(num_rows, std::move(postings))));
   table.SetBacking(pin);
 
   const Json* speech = meta.Get("speech");

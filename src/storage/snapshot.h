@@ -2,13 +2,12 @@
 //
 // A snapshot is one file per dataset holding everything the serving layer
 // otherwise computes at registration time: the dictionary-encoded columns,
-// the sharded inverted index (CSR posting lists + per-(dim,value)
-// aggregates, per shard and merged), and the pre-computed + learned speech
-// store. Loading does not rebuild any of it -- the numeric arrays are
-// adopted as std::span views straight into a read-only mmap
-// (util/mmap_file.h) via the ColumnStorage borrow path (storage/column.h),
-// so time-to-routable is dominated by checksum verification and JSON
-// metadata parsing, not by row count.
+// the inverted index (one CSR of posting lists per dimension), and the
+// pre-computed + learned speech store. Loading does not rebuild any of it
+// -- the numeric arrays are adopted as std::span views straight into a
+// read-only mmap (util/mmap_file.h) via the ColumnStorage borrow path
+// (storage/column.h), so time-to-routable is dominated by checksum
+// verification and JSON metadata parsing, not by row count.
 //
 // File layout (all integers little-endian, the only supported hosts):
 //
@@ -19,7 +18,7 @@
 //                    safe for any element type and friendly to the SIMD
 //                    kernels that consume target columns.
 //   [speech JSON]    SpeechStore::ToJson dump (decoded strings)
-//   [meta JSON]      section directory + schema; see BuildMeta in the .cc
+//   [meta JSON]      section directory + schema; see WriteSnapshot in the .cc
 //
 // The header carries the magic, format version, total size, an XXH64 over
 // the entire payload (everything after the header), and the meta section's
@@ -28,9 +27,11 @@
 //
 // Validation order on load: size/magic/version -> total_bytes (truncation)
 // -> payload hash (corruption; also faults in every page, so no SIGBUS
-// surprises later) -> meta parse + per-section bounds checks. Any failure
-// returns an error and the caller (serve/registry.cc) falls back to a cold
-// build -- a stale or damaged snapshot can cost time, never correctness.
+// surprises later) -> meta parse + per-section bounds checks -> posting
+// lists (offsets run from 0 to num_rows without decreasing, row ids are in
+// range). Any failure returns an error and the caller (serve/registry.cc)
+// falls back to a cold build -- a stale or damaged snapshot can cost time,
+// never correctness.
 //
 // Compatibility is deliberately strict: kFormatVersion mismatch rejects the
 // file (snapshots are a cache, the cold path regenerates them), and the
@@ -52,7 +53,7 @@ namespace vq {
 
 /// Bump on ANY layout or meta-schema change; old files are rejected (and
 /// regenerated by the cold path), never migrated.
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Alignment of every array section, and of the blob region itself.
 inline constexpr size_t kSnapshotAlignment = 64;

@@ -10,7 +10,6 @@ namespace vq {
 Table::Table(const Table& other)
     : name_(other.name_),
       num_rows_(other.num_rows_),
-      target_shard_rows_(other.target_shard_rows_),
       dim_names_(other.dim_names_),
       dictionaries_(other.dictionaries_),
       dim_codes_(other.dim_codes_),
@@ -23,7 +22,6 @@ Table& Table::operator=(const Table& other) {
   if (this == &other) return *this;
   name_ = other.name_;
   num_rows_ = other.num_rows_;
-  target_shard_rows_ = other.target_shard_rows_;
   dim_names_ = other.dim_names_;
   dictionaries_ = other.dictionaries_;
   dim_codes_ = other.dim_codes_;
@@ -43,7 +41,6 @@ Table& Table::operator=(const Table& other) {
 Table::Table(Table&& other) noexcept
     : name_(std::move(other.name_)),
       num_rows_(other.num_rows_),
-      target_shard_rows_(other.target_shard_rows_),
       dim_names_(std::move(other.dim_names_)),
       dictionaries_(std::move(other.dictionaries_)),
       dim_codes_(std::move(other.dim_codes_)),
@@ -59,7 +56,6 @@ Table& Table::operator=(Table&& other) noexcept {
   if (this == &other) return *this;
   name_ = std::move(other.name_);
   num_rows_ = other.num_rows_;
-  target_shard_rows_ = other.target_shard_rows_;
   dim_names_ = std::move(other.dim_names_);
   dictionaries_ = std::move(other.dictionaries_);
   dim_codes_ = std::move(other.dim_codes_);
@@ -166,12 +162,6 @@ void Table::AppendEncodedRow(const std::vector<ValueId>& dim_codes,
 void Table::ReserveRows(size_t num_rows) {
   for (auto& column : dim_codes_) column.Reserve(num_rows);
   for (auto& column : target_values_) column.Reserve(num_rows);
-}
-
-void Table::SetTargetShardRows(size_t rows) {
-  target_shard_rows_ = rows == 0 ? 1 : rows;
-  // The cached index was built under the old placement policy.
-  InvalidateIndex();
 }
 
 int Table::DimIndex(const std::string& column_name) const {

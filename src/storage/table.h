@@ -108,18 +108,6 @@ class Table {
   /// includes the inverted index when built.
   size_t EstimateBytes() const;
 
-  /// Default shard size: ~1M rows per shard keeps every pre-existing test
-  /// and bench table (<=80k rows) at exactly one shard -- the single-shard
-  /// fast paths and table-level Postings() contract are unchanged there --
-  /// while paper-scale tables (10-50M rows) split into enough shards to
-  /// keep every core busy building the index.
-  static constexpr size_t kDefaultTargetShardRows = 1u << 20;
-
-  /// Rows per index shard (see TableIndex::Build). Setting it invalidates
-  /// the cached index; tests force specific shard counts through this.
-  size_t TargetShardRows() const { return target_shard_rows_; }
-  void SetTargetShardRows(size_t rows);
-
   /// Serializes all rows (decoded) to CSV.
   std::string ToCsv() const;
 
@@ -178,7 +166,6 @@ class Table {
 
   std::string name_;
   size_t num_rows_ = 0;
-  size_t target_shard_rows_ = kDefaultTargetShardRows;
   std::vector<std::string> dim_names_;
   std::vector<Dictionary> dictionaries_;
   std::vector<ColumnStorage<ValueId>> dim_codes_;

@@ -7,7 +7,7 @@
 // snapshot loader verifies the checksum (touching every payload page) once
 // up front, before any span into the mapping is published to the serving
 // stack. Consumers hold the mapping by shared_ptr; storage spans into it
-// (Table columns, ShardIndex posting lists) are valid exactly as long as
+// (Table columns, TableIndex posting lists) are valid exactly as long as
 // one owner remains, which the dataset registry guarantees by pinning the
 // mapping inside the DatasetEntry that RCU registry snapshots keep alive.
 //

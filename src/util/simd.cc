@@ -49,12 +49,6 @@ double MaskedSum64Scalar(const double* block, uint64_t mask) {
   return sum;
 }
 
-double WeightedSumScalar(const double* values, const double* weights, size_t n) {
-  double sum = 0.0;
-  for (size_t i = 0; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
-}
-
 double WeightedAbsDevScalar(double center, const double* values,
                             const double* weights, size_t n) {
   double sum = 0.0;
@@ -122,7 +116,7 @@ double MaskedSingleFactScalar(double value, const double* target_weight,
 const Kernels kScalarKernels = {
     "scalar",           OrPopcountScalar,     MaskedSum64Scalar,
     MaskedSingleFactScalar,
-    WeightedSumScalar,  WeightedAbsDevScalar,
+    WeightedAbsDevScalar,
     GatherWeightedSumScalar, GatherPositiveGainScalar,
     MinUpdateScalar,    ArgMaxScalar,
 };
@@ -225,26 +219,6 @@ VQ_AVX2 double MaskedSum64Avx2(const double* block, uint64_t mask) {
                         _mm256_and_pd(lane_mask, _mm256_loadu_pd(block + i)));
   }
   return HorizontalSum(acc);
-}
-
-VQ_AVX2 double WeightedSumAvx2(const double* values, const double* weights,
-                               size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i),
-                           _mm256_loadu_pd(weights + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i + 4),
-                           _mm256_loadu_pd(weights + i + 4), acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(values + i),
-                           _mm256_loadu_pd(weights + i), acc0);
-  }
-  double sum = HorizontalSum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
 }
 
 VQ_AVX2 double WeightedAbsDevAvx2(double center, const double* values,
@@ -422,7 +396,7 @@ VQ_AVX2 size_t ArgMaxAvx2(const double* values, size_t n) {
 const Kernels kAvx2Kernels = {
     "avx2",            OrPopcountAvx2,     MaskedSum64Avx2,
     MaskedSingleFactAvx2,
-    WeightedSumAvx2,   WeightedAbsDevAvx2,
+    WeightedAbsDevAvx2,
     GatherWeightedSumAvx2, GatherPositiveGainAvx2,
     MinUpdateAvx2,     ArgMaxAvx2,
 };
@@ -561,29 +535,6 @@ VQ_AVX512 double MaskedSingleFactAvx512(double value, const double* target_weigh
                  m, fact_dev, _mm512_maskz_loadu_pd(m, prior_dev_weighted + i)));
   }
   return _mm512_reduce_add_pd(acc);
-}
-
-VQ_AVX512 double WeightedSumAvx512(const double* values, const double* weights,
-                                   size_t n) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i),
-                           _mm512_loadu_pd(weights + i), acc0);
-    acc1 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i + 8),
-                           _mm512_loadu_pd(weights + i + 8), acc1);
-  }
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm512_fmadd_pd(_mm512_loadu_pd(values + i),
-                           _mm512_loadu_pd(weights + i), acc0);
-  }
-  if (i < n) {
-    __mmask8 m = TailMask(n - i);
-    acc0 = _mm512_fmadd_pd(_mm512_maskz_loadu_pd(m, values + i),
-                           _mm512_maskz_loadu_pd(m, weights + i), acc0);
-  }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
 }
 
 VQ_AVX512 double WeightedAbsDevAvx512(double center, const double* values,
@@ -744,7 +695,7 @@ VQ_AVX512 size_t ArgMaxAvx512(const double* values, size_t n) {
 const Kernels kAvx512Kernels = {
     "avx512",            OrPopcountAvx512,     MaskedSum64Avx512,
     MaskedSingleFactAvx512,
-    WeightedSumAvx512,   WeightedAbsDevAvx512,
+    WeightedAbsDevAvx512,
     GatherWeightedSumAvx512, GatherPositiveGainAvx512,
     MinUpdateAvx512,     ArgMaxAvx512,
 };
@@ -802,19 +753,6 @@ double MaskedSum64Neon(const double* block, uint64_t mask) {
   return vaddvq_f64(acc);
 }
 
-double WeightedSumNeon(const double* values, const double* weights, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 = vfmaq_f64(acc0, vld1q_f64(values + i), vld1q_f64(weights + i));
-    acc1 = vfmaq_f64(acc1, vld1q_f64(values + i + 2), vld1q_f64(weights + i + 2));
-  }
-  double sum = vaddvq_f64(vaddq_f64(acc0, acc1));
-  for (; i < n; ++i) sum += values[i] * weights[i];
-  return sum;
-}
-
 double WeightedAbsDevNeon(double center, const double* values,
                           const double* weights, size_t n) {
   const float64x2_t vcenter = vdupq_n_f64(center);
@@ -832,7 +770,7 @@ double WeightedAbsDevNeon(double center, const double* values,
 const Kernels kNeonKernels = {
     "neon",            OrPopcountNeon,     MaskedSum64Neon,
     MaskedSingleFactScalar,
-    WeightedSumNeon,   WeightedAbsDevNeon,
+    WeightedAbsDevNeon,
     GatherWeightedSumScalar, GatherPositiveGainScalar,
     MinUpdateScalar,   ArgMaxScalar,
 };

@@ -80,10 +80,6 @@ struct Kernels {
   double (*masked_single_fact)(double value, const double* target_weight,
                                const double* prior_dev_weighted, uint64_t mask);
 
-  /// Dense dot product: sum over i of values[i] * weights[i].
-  double (*weighted_sum)(const double* values, const double* weights,
-                         size_t n);
-
   /// Weighted absolute deviation from a constant center:
   /// sum over i of |center - values[i]| * weights[i].
   double (*weighted_abs_dev)(double center, const double* values,

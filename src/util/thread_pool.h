@@ -1,6 +1,7 @@
 // Fixed-size thread pool and ParallelFor, used by the batch pre-processor
 // (Section III: all speeches are generated in one batch operation; problems
-// are independent), by sharded index builds and by the serving router.
+// are independent), by index builds (one dimension per task) and by the
+// serving router.
 #ifndef VQ_UTIL_THREAD_POOL_H_
 #define VQ_UTIL_THREAD_POOL_H_
 
@@ -87,9 +88,9 @@ void ParallelFor(ThreadPool* pool, size_t count,
 
 /// The process-wide pool: hardware_concurrency() - 1 workers, since every
 /// ParallelFor caller works too; nullptr on a single core (ParallelFor then
-/// runs on the caller alone). Sharded index builds and
-/// DatasetRegistry::AddDataset's pre-processing run on it. Lazily created,
-/// never destroyed: a task may still run on it while static destructors do.
+/// runs on the caller alone). Index builds and DatasetRegistry::AddDataset's
+/// pre-processing run on it. Lazily created, never destroyed: a task may
+/// still run on it while static destructors do.
 ThreadPool* SharedPool();
 
 }  // namespace vq

@@ -234,7 +234,6 @@ struct RandomTableSpec {
   /// Targets drawn from {NaN, +0.0, -0.0, 1, 2} (many duplicate keys) or
   /// from a continuous range (no two rows alike).
   bool duplicates = true;
-  size_t shard_rows = Table::kDefaultTargetShardRows;
   /// Extra dictionary entries no row carries, per dimension.
   int unused_values = 1;
 };
@@ -267,7 +266,6 @@ Table RandomTable(const RandomTableSpec& spec) {
       table.mutable_dict(d).Intern("unused" + std::to_string(u));
     }
   }
-  table.SetTargetShardRows(spec.shard_rows);
   return table;
 }
 
@@ -304,33 +302,15 @@ void ExpectSlicesMatch(const Table& table, ValueId max_values = 64) {
   }
 }
 
-TEST(TableMergeTest, SlicesMatchBuildInstanceOnOneShard) {
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
+TEST(TableMergeTest, SlicesMatchBuildInstance) {
+  for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     for (bool duplicates : {true, false}) {
       SCOPED_TRACE("seed " + std::to_string(seed) +
                    (duplicates ? " duplicates" : " distinct"));
       RandomTableSpec spec;
       spec.seed = seed;
       spec.duplicates = duplicates;
-      Table table = RandomTable(spec);
-      ASSERT_EQ(table.index().num_shards(), 1u);
-      ExpectSlicesMatch(table);
-    }
-  }
-}
-
-TEST(TableMergeTest, SlicesMatchBuildInstanceOnSeveralShards) {
-  for (uint64_t seed : {4ull, 5ull}) {
-    for (bool duplicates : {true, false}) {
-      SCOPED_TRACE("seed " + std::to_string(seed) +
-                   (duplicates ? " duplicates" : " distinct"));
-      RandomTableSpec spec;
-      spec.seed = seed;
-      spec.duplicates = duplicates;
-      spec.shard_rows = 64;
-      Table table = RandomTable(spec);
-      ASSERT_GT(table.index().num_shards(), 4u);
-      ExpectSlicesMatch(table);
+      ExpectSlicesMatch(RandomTable(spec));
     }
   }
 }
@@ -346,7 +326,6 @@ TEST(TableMergeTest, SlicesMatchOnEmptyAndWideTables) {
   RandomTableSpec wide;
   wide.seed = 6;
   wide.num_dims = 3;
-  wide.shard_rows = 100;
   Table table = RandomTable(wide);
   for (ValueId v = 0; table.dict(1).size() <= kMaxPackableCode; ++v) {
     table.mutable_dict(1).Intern("wide" + std::to_string(v));

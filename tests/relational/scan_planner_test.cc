@@ -82,6 +82,28 @@ TEST(ScanPlannerPropertyTest, AllFilterPathsAgree) {
   }
 }
 
+/// FilterRowsMultiPartials answers each set as FilterRows does, and
+/// MergeScanPartials flattens each answer back to FilterRows' row ids (the
+/// pair perfbench's serve replay calls).
+TEST(ScanPlannerPropertyTest, MultiPartialsMergeToFilterRows) {
+  Rng rng(5);
+  for (int trial = 0; trial < 12; ++trial) {
+    size_t num_dims = 1 + rng.NextBelow(4);
+    Table table = RandomTable(&rng, 64 + rng.NextBelow(500), num_dims, 12);
+    std::vector<PredicateSet> sets;
+    for (int q = 0; q < 8; ++q) sets.push_back(RandomPredicates(&rng, table, num_dims));
+    std::vector<const PredicateSet*> pointers;
+    for (const PredicateSet& set : sets) pointers.push_back(&set);
+    std::vector<ScanPartials> partials = FilterRowsMultiPartials(table, pointers);
+    ASSERT_EQ(partials.size(), sets.size());
+    for (size_t q = 0; q < sets.size(); ++q) {
+      std::vector<uint32_t> naive = NaiveFilterRows(table, sets[q]);
+      EXPECT_EQ(FilterRows(table, sets[q]), naive) << "set " << q;
+      EXPECT_EQ(MergeScanPartials(std::move(partials[q])), naive) << "set " << q;
+    }
+  }
+}
+
 TEST(ScanPlannerTest, PlanStrategies) {
   // 8 rows: value 0 on 6 rows and value 1 on 2 rows of both dimensions.
   Table table("fixed");

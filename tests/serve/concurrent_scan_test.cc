@@ -1,8 +1,8 @@
 // Concurrency coverage for the scan path, run under ThreadSanitizer by the
 // serve-tsan preset (the binary name matches its ^(serve_|engine_|obs_)
 // filter): concurrent FilterRows calls race the lazily built table index's
-// double-checked publish (itself built on the shared pool) and the
-// process-wide plan counters.
+// double-checked publish (itself built one dimension per task on the shared
+// pool) and the process-wide plan counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,26 +27,28 @@ std::vector<uint32_t> NaiveFilterRows(const Table& table,
   return out;
 }
 
-Table MultiShardTable(size_t num_rows, size_t shard_rows) {
+/// Six dimensions, so the index build hands several dimensions to the pool.
+Table ManyDimTable(size_t num_rows) {
   Rng rng(20210318);
   Table table("concurrent");
-  table.AddDimColumn("a");
-  table.AddDimColumn("b");
+  constexpr size_t kDims = 6;
+  for (size_t d = 0; d < kDims; ++d) table.AddDimColumn("d" + std::to_string(d));
   table.AddTargetColumn("y");
+  std::vector<std::string> values(kDims);
   for (size_t r = 0; r < num_rows; ++r) {
-    (void)table.AppendRow({"v" + std::to_string(rng.NextZipf(8, 1.0)),
-                           "v" + std::to_string(rng.NextZipf(6, 1.0))},
-                          {static_cast<double>(rng.NextInt(0, 50))});
+    for (size_t d = 0; d < kDims; ++d) {
+      values[d] = "v" + std::to_string(rng.NextZipf(6 + d, 1.0));
+    }
+    (void)table.AppendRow(values, {static_cast<double>(rng.NextInt(0, 50))});
   }
-  table.SetTargetShardRows(shard_rows);
   return table;
 }
 
-/// Concurrent first use of a multi-shard table: threads race the lazy index
-/// build (itself parallelized across the shared pool) and immediately filter.
+/// Concurrent first use of a table: threads race the lazy index build
+/// (itself parallelized across the shared pool) and immediately filter.
 TEST(ConcurrentScanTest, LazyIndexBuildRacesFilters) {
   for (int round = 0; round < 4; ++round) {
-    Table table = MultiShardTable(3000, 333);  // 10 shards, ragged last
+    Table table = ManyDimTable(3000);
     PredicateSet predicates = {EqPredicate{0, 0}, EqPredicate{1, 0}};
     ASSERT_TRUE(NormalizePredicates(&predicates).ok());
     std::vector<uint32_t> expected = NaiveFilterRows(table, predicates);

@@ -1,9 +1,8 @@
 // Snapshot robustness suite: the round-trip property (a loaded snapshot is
-// bit-identical to the cold-built structures it was written from, across
-// shard layouts including ragged last shards) and the rejection paths
-// (corrupted checksum, truncated file, foreign format version, garbage),
-// each of which must fail cleanly so the registry can fall back to a cold
-// build.
+// bit-identical to the cold-built structures it was written from) and the
+// rejection paths (corrupted checksum, truncated file, foreign format
+// version, garbage, posting lists edited under a recomputed checksum), each
+// of which must fail cleanly so the registry can fall back to a cold build.
 #include "storage/snapshot.h"
 
 #include <gtest/gtest.h>
@@ -11,12 +10,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "engine/voice_engine.h"
 #include "storage/index.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/xxhash64.h"
 
 namespace vq {
 namespace {
@@ -25,9 +29,7 @@ std::string TempPath(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
 }
 
-/// A table with enough rows and cardinality that multi-shard layouts (and
-/// ragged last shards) actually occur, plus two targets so the sums arrays
-/// have non-trivial stride.
+/// A two-dimension, two-target table of `num_rows` seeded random rows.
 Table MakeTable(size_t num_rows) {
   Table table("snapshot_fixture");
   table.AddDimColumn("region");
@@ -48,90 +50,46 @@ Table MakeTable(size_t num_rows) {
   return table;
 }
 
+/// Bit identity of two arrays (memcmp, not ==: a NaN target must match its
+/// own bits). Empty arrays may have null data, which memcmp must not see.
+template <typename T>
+bool SameBits(std::span<const T> a, std::span<const T> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
 void ExpectBitIdentical(const Table& cold, const Table& loaded) {
   ASSERT_EQ(loaded.NumRows(), cold.NumRows());
   ASSERT_EQ(loaded.NumDims(), cold.NumDims());
   ASSERT_EQ(loaded.NumTargets(), cold.NumTargets());
   EXPECT_EQ(loaded.name(), cold.name());
-  EXPECT_EQ(loaded.TargetShardRows(), cold.TargetShardRows());
   for (size_t d = 0; d < cold.NumDims(); ++d) {
     EXPECT_EQ(loaded.DimName(d), cold.DimName(d));
     // Identical intern order -> identical ValueIds -> columns can be
     // compared as raw code arrays.
     ASSERT_EQ(loaded.dict(d).values(), cold.dict(d).values());
-    auto cold_col = cold.DimColumn(d);
-    auto loaded_col = loaded.DimColumn(d);
-    ASSERT_EQ(loaded_col.size(), cold_col.size());
-    EXPECT_EQ(std::memcmp(loaded_col.data(), cold_col.data(),
-                          cold_col.size_bytes()),
-              0);
+    EXPECT_TRUE(SameBits(loaded.DimColumn(d), cold.DimColumn(d)));
   }
   for (size_t t = 0; t < cold.NumTargets(); ++t) {
     EXPECT_EQ(loaded.TargetName(t), cold.TargetName(t));
     EXPECT_EQ(loaded.TargetUnit(t), cold.TargetUnit(t));
-    auto cold_col = cold.TargetColumn(t);
-    auto loaded_col = loaded.TargetColumn(t);
-    ASSERT_EQ(loaded_col.size(), cold_col.size());
-    // memcmp, not EXPECT_DOUBLE_EQ: the property is BIT-identity.
-    EXPECT_EQ(std::memcmp(loaded_col.data(), cold_col.data(),
-                          cold_col.size_bytes()),
-              0);
+    EXPECT_TRUE(SameBits(loaded.TargetColumn(t), cold.TargetColumn(t)));
   }
 
   const TableIndex& cold_index = cold.index();
   const TableIndex& loaded_index = loaded.index();
-  ASSERT_EQ(loaded_index.num_shards(), cold_index.num_shards());
+  ASSERT_EQ(loaded_index.num_dims(), cold_index.num_dims());
   EXPECT_EQ(loaded_index.num_rows(), cold_index.num_rows());
-  for (size_t s = 0; s < cold_index.num_shards(); ++s) {
-    const ShardIndex& a = cold_index.shard(s);
-    const ShardIndex& b = loaded_index.shard(s);
-    EXPECT_EQ(b.ordinal(), a.ordinal());
-    EXPECT_EQ(b.base(), a.base());
-    ASSERT_EQ(b.num_rows(), a.num_rows());
-    for (size_t d = 0; d < cold.NumDims(); ++d) {
-      auto a_rows = a.RowsArray(d);
-      auto b_rows = b.RowsArray(d);
-      ASSERT_EQ(b_rows.size(), a_rows.size());
-      EXPECT_EQ(
-          std::memcmp(b_rows.data(), a_rows.data(), a_rows.size_bytes()), 0);
-      auto a_offsets = a.OffsetsArray(d);
-      auto b_offsets = b.OffsetsArray(d);
-      ASSERT_EQ(b_offsets.size(), a_offsets.size());
-      EXPECT_EQ(std::memcmp(b_offsets.data(), a_offsets.data(),
-                            a_offsets.size_bytes()),
-                0);
-      auto a_sums = a.SumsArray(d);
-      auto b_sums = b.SumsArray(d);
-      ASSERT_EQ(b_sums.size(), a_sums.size());
-      EXPECT_EQ(
-          std::memcmp(b_sums.data(), a_sums.data(), a_sums.size_bytes()), 0);
-    }
-  }
   for (size_t d = 0; d < cold.NumDims(); ++d) {
-    auto a_counts = cold_index.MergedCountsArray(d);
-    auto b_counts = loaded_index.MergedCountsArray(d);
-    ASSERT_EQ(b_counts.size(), a_counts.size());
-    EXPECT_EQ(std::memcmp(b_counts.data(), a_counts.data(),
-                          a_counts.size_bytes()),
-              0);
-    auto a_sums = cold_index.MergedSumsArray(d);
-    auto b_sums = loaded_index.MergedSumsArray(d);
-    ASSERT_EQ(b_sums.size(), a_sums.size());
-    EXPECT_EQ(
-        std::memcmp(b_sums.data(), a_sums.data(), a_sums.size_bytes()), 0);
+    EXPECT_TRUE(SameBits(loaded_index.RowsArray(d), cold_index.RowsArray(d)));
+    EXPECT_TRUE(SameBits(loaded_index.OffsetsArray(d), cold_index.OffsetsArray(d)));
   }
 }
 
-TEST(SnapshotTest, RoundTripIsBitIdenticalAcrossShardLayouts) {
-  // 100 rows with shard targets 128 (1 shard), 40 (2 full + ragged 20), 25
-  // (4 exact), 13 (7 full + ragged 9): exercises single-shard, exact-fit
-  // and ragged-last-shard layouts.
-  const size_t kRows = 100;
-  for (size_t shard_rows : {size_t{128}, size_t{40}, size_t{25}, size_t{13}}) {
-    Table cold = MakeTable(kRows);
-    cold.SetTargetShardRows(shard_rows);
-    std::string path = TempPath("roundtrip_" + std::to_string(shard_rows) +
-                                ".vqsnap");
+TEST(SnapshotTest, RoundTripIsBitIdentical) {
+  for (size_t rows : {size_t{0}, size_t{1}, size_t{100}}) {
+    Table cold = MakeTable(rows);
+    std::string path = TempPath("roundtrip_" + std::to_string(rows) + ".vqsnap");
     auto written = WriteSnapshot(path, cold, "cfg-fp", "table-fp", {});
     ASSERT_TRUE(written.ok()) << written.status().message();
     EXPECT_EQ(written.value(), std::filesystem::file_size(path));
@@ -239,22 +197,119 @@ TEST(SnapshotTest, TruncatedFileIsRejected) {
 }
 
 TEST(SnapshotTest, ForeignFormatVersionIsRejected) {
-  Table cold = MakeTable(40);
-  std::string path = TempPath("version.vqsnap");
-  ASSERT_TRUE(WriteSnapshot(path, cold, "cfg", "tbl", {}).ok());
+  // Version 1 is the former sharded format: a stale cache, rejected before
+  // anything else is read, like any version this build does not write.
+  for (uint32_t version : {1u, kSnapshotFormatVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    Table cold = MakeTable(40);
+    std::string path = TempPath("version.vqsnap");
+    ASSERT_TRUE(WriteSnapshot(path, cold, "cfg", "tbl", {}).ok());
 
-  // format_version lives right after the 8-byte magic.
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.is_open());
-  uint32_t bumped = kSnapshotFormatVersion + 1;
-  file.seekp(8);
-  file.write(reinterpret_cast<const char*>(&bumped), sizeof(bumped));
-  file.close();
+    // format_version lives right after the 8-byte magic.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    file.close();
 
+    auto loaded = LoadSnapshot(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kUnsupported);
+    EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+    std::filesystem::remove(path);
+  }
+}
+
+/// Writes a 200-row snapshot, lets `edit` change its bytes (the meta
+/// section's parsed JSON is handed in to locate sections), recomputes the
+/// payload checksum as a writer would, and returns what LoadSnapshot makes
+/// of the result.
+Status LoadEdited(const std::string& name,
+                  const std::function<void(std::string*, const Json&)>& edit) {
+  Table cold = MakeTable(200);
+  std::string path = TempPath(name);
+  EXPECT_TRUE(WriteSnapshot(path, cold, "cfg", "tbl", {}).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  // Header fields: payload hash at byte 24, meta offset at 32, meta size at 40.
+  uint64_t meta_offset = 0;
+  uint64_t meta_size = 0;
+  std::memcpy(&meta_offset, bytes.data() + 32, sizeof(meta_offset));
+  std::memcpy(&meta_size, bytes.data() + 40, sizeof(meta_size));
+  auto meta = Json::Parse(bytes.substr(meta_offset, meta_size));
+  EXPECT_TRUE(meta.ok());
+  edit(&bytes, meta.value());
+  uint64_t hash = XxHash64(bytes.data() + 64, bytes.size() - 64);
+  std::memcpy(bytes.data() + 24, &hash, sizeof(hash));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
   auto loaded = LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
   std::filesystem::remove(path);
+  return loaded.ok() ? Status::OK() : loaded.status();
+}
+
+/// Byte offset of uint32 `i` of the section `dims[dim].<section>`.
+size_t WordAt(const Json& meta, size_t dim, const char* section, size_t i) {
+  int64_t off = meta.Get("dims")->At(dim).Get(section)->GetInt("off", -1);
+  return static_cast<size_t>(off) + i * sizeof(uint32_t);
+}
+
+uint32_t ReadWord(const std::string& bytes, size_t at) {
+  uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void WriteWord(std::string* bytes, size_t at, uint32_t value) {
+  std::memcpy(bytes->data() + at, &value, sizeof(value));
+}
+
+TEST(SnapshotTest, InconsistentPostingsUnderAValidChecksumAreRejected) {
+  // The control: re-hashing an unedited file changes nothing.
+  EXPECT_TRUE(LoadEdited("control.vqsnap", [](std::string*, const Json&) {}).ok());
+
+  struct Edit {
+    const char* name;
+    std::function<void(std::string*, const Json&)> apply;
+  };
+  std::vector<Edit> edits = {
+      {"row id past the table",
+       [](std::string* bytes, const Json& meta) {
+         WriteWord(bytes, WordAt(meta, 0, "posting_rows", 5), 207);
+       }},
+      {"first offset not zero",
+       [](std::string* bytes, const Json& meta) {
+         WriteWord(bytes, WordAt(meta, 1, "posting_offsets", 0), 1);
+       }},
+      {"decreasing offsets",
+       [](std::string* bytes, const Json& meta) {
+         uint32_t second = ReadWord(*bytes, WordAt(meta, 0, "posting_offsets", 2));
+         WriteWord(bytes, WordAt(meta, 0, "posting_offsets", 1), second + 1);
+       }},
+      {"last offset not the row count",
+       [](std::string* bytes, const Json& meta) {
+         size_t cardinality = meta.Get("dims")->At(0).Get("values")->Size();
+         WriteWord(bytes, WordAt(meta, 0, "posting_offsets", cardinality), 199);
+       }},
+      {"rows array shorter than the table",
+       [](std::string* bytes, const Json&) {
+         // "count":200 -> "count":199 keeps the meta section's length.
+         size_t at = bytes->find("\"count\":", bytes->rfind("\"posting_rows\""));
+         ASSERT_NE(at, std::string::npos);
+         ASSERT_EQ(bytes->compare(at + 8, 3, "200"), 0);
+         bytes->replace(at + 8, 3, "199");
+       }},
+  };
+  for (const Edit& edit : edits) {
+    SCOPED_TRACE(edit.name);
+    Status status = LoadEdited("edited.vqsnap", edit.apply);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+  }
 }
 
 TEST(SnapshotTest, GarbageAndMissingFilesAreRejected) {

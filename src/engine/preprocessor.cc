@@ -69,7 +69,8 @@ Result<SpeechStore> Preprocess(const Table& table, const Configuration& config,
   // (TableMerge in facts/instance.h), so no problem filters or merges.
   // The merges are built on the calling thread before any problem runs:
   // each is one hash pass over the table (the Stack Overflow benchmark's
-  // two take 1.5 ms of a 70 ms registration). Building them on pool
+  // two, 20k rows, take ~2.5 ms of a ~110 ms single-threaded Preprocess on a
+  // 4-core AVX-512 host, gcc 12.2 Release). Building them on pool
   // workers too saved no measurable time but raised peak RSS by up to
   // 4 MiB.
   std::vector<std::unique_ptr<TableMerge>> merges(table.NumTargets());

@@ -1,7 +1,9 @@
 #include "facts/catalog.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 
 #include "relational/group_by.h"
 
@@ -17,6 +19,14 @@ uint64_t Binomial(uint64_t n, uint64_t k) {
   for (uint64_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
   return c;
 }
+
+/// sum + x, except that a NaN sum stays as it is. Only the NaN's sign and
+/// payload are at stake: + commutes, and when both operands are NaN an x86
+/// addition returns its first, so without this the bits would depend on
+/// which operand order the compiler emits (a sum held in a register comes
+/// first, one added to from memory second). With it, a sum keeps the first
+/// NaN it turns into, whatever the order.
+inline double AddToSum(double sum, double x) { return std::isnan(sum) ? sum : sum + x; }
 
 }  // namespace
 
@@ -53,14 +63,6 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   FactCatalog catalog;
   catalog.num_rows_ = num_rows;
   catalog.groups_.reserve(num_groups);
-  // The codes transposed to one column per dimension, so the grouping
-  // passes read whole columns.
-  std::vector<ValueId> columns(num_dims * num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t d = 0; d < num_dims; ++d) {
-      columns[d * num_rows + r] = instance.codes[r * num_dims + d];
-    }
-  }
   // Group g's scope entries fill [g * num_rows, (g + 1) * num_rows) of the
   // CSR table; every entry is written exactly once below.
   size_t num_entries = num_groups * num_rows;
@@ -71,6 +73,8 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
   // Pass 1's row -> group-local fact id, reused by every group.
   std::unique_ptr<uint32_t[]> local_ids = std::make_unique_for_overwrite<uint32_t[]>(num_rows);
   std::vector<uint32_t> cursor;
+  const double* target = instance.target.data();
+  const double* weight = instance.weight.data();
   GroupIndexer indexer;
   uint32_t num_masks = 1u << num_dims;
   for (uint32_t mask = 0; mask < num_masks; ++mask) {
@@ -85,7 +89,7 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
     for (size_t d = 0; d < num_dims; ++d) {
       if (mask & (1u << d)) {
         radices[group.dim_positions.size()] = instance.dim_cardinalities[d];
-        group_columns[group.dim_positions.size()] = columns.data() + d * num_rows;
+        group_columns[group.dim_positions.size()] = instance.codes.data() + d * num_rows;
         group.dim_positions.push_back(static_cast<int>(d));
       }
     }
@@ -93,12 +97,19 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
 
     if (mask == 0) {
       // The overall group: one fact over every row (none on an empty
-      // instance), keyed PackGroupKey({}) = 0. Its list is 0..n-1.
+      // instance), keyed PackGroupKey({}) = 0. Its list is 0..n-1, summed in
+      // the same pass.
       uint32_t begin = offsets.back();
-      for (size_t r = 0; r < num_rows; ++r) rows[begin + r] = static_cast<uint32_t>(r);
+      double scope_weight = 0.0;
+      double sum = 0.0;
+      for (size_t r = 0; r < num_rows; ++r) {
+        rows[begin + r] = static_cast<uint32_t>(r);
+        scope_weight += weight[r];
+        sum = AddToSum(sum, target[r] * weight[r]);
+      }
       if (num_rows > 0) {
         group.num_facts = 1;
-        catalog.facts_.push_back(Fact{group_index, 0, 0.0, 0.0});
+        catalog.facts_.push_back(Fact{group_index, 0, sum, scope_weight});
         offsets.push_back(begin + static_cast<uint32_t>(num_rows));
       }
     } else {
@@ -113,31 +124,23 @@ Result<FactCatalog> FactCatalog::Build(const SummaryInstance& instance,
         offsets.push_back(begin + cursor[i]);
         cursor[i] = begin;
       }
-      // Pass 2a: counting-sort the row ids into the CSR lists (rows arrive
-      // ascending, so every list is ascending).
+      // Pass 2: counting-sort the row ids into the CSR lists (rows arrive
+      // ascending, so every list is ascending) and add each row's weight
+      // and weighted target to its fact, the weighted sum held in `value`
+      // until the division below. Each fact receives its rows in ascending
+      // order -- the order a row-by-row scan adds them in -- so the sums
+      // keep their exact bits.
+      Fact* facts = catalog.facts_.data() + group.first_fact;
       for (size_t r = 0; r < num_rows; ++r) {
-        rows[cursor[local_ids[r]]++] = static_cast<uint32_t>(r);
+        uint32_t id = local_ids[r];
+        rows[cursor[id]++] = static_cast<uint32_t>(r);
+        facts[id].scope_weight += weight[r];
+        facts[id].value = AddToSum(facts[id].value, target[r] * weight[r]);
       }
     }
-
-    // Pass 2b: per fact in CSR order, accumulate the scope weight and
-    // weighted sum -- the order a row-by-row scan adds them in, so the
-    // typical value keeps its exact bits.
-    for (FactId id = group.first_fact; id < group.first_fact + group.num_facts; ++id) {
-      uint32_t begin = offsets[id];
-      uint32_t end = offsets[id + 1];
-      double scope_weight = 0.0;
-      double sum = 0.0;
-      for (uint32_t k = begin; k < end; ++k) {
-        double w = instance.weight[rows[k]];
-        scope_weight += w;
-        sum += instance.target[rows[k]] * w;
-      }
-      double value = scope_weight > 0.0 ? sum / scope_weight : 0.0;
-      catalog.facts_[id].value = value;
-      catalog.facts_[id].scope_weight = scope_weight;
+    for (Fact& fact : std::span(catalog.facts_).subspan(group.first_fact)) {
+      fact.value = fact.scope_weight > 0.0 ? fact.value / fact.scope_weight : 0.0;
     }
-    catalog.mask_to_group_.emplace(mask, group_index);
     catalog.groups_.push_back(std::move(group));
   }
 
@@ -179,8 +182,11 @@ const FactId* FactCatalog::BuildRowFactTable() const {
 }
 
 int FactCatalog::GroupIndexForMask(uint32_t mask) const {
-  auto it = mask_to_group_.find(mask);
-  return it == mask_to_group_.end() ? -1 : static_cast<int>(it->second);
+  // Build enumerates groups in ascending mask order.
+  auto it = std::ranges::lower_bound(groups_, mask, {}, &FactGroup::mask);
+  return it != groups_.end() && it->mask == mask
+             ? static_cast<int>(it - groups_.begin())
+             : -1;
 }
 
 std::vector<std::pair<std::string, std::string>> FactCatalog::DescribeScope(

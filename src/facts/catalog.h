@@ -14,7 +14,6 @@
 #include <mutex>  // std::call_once for the lazy scope tables (not locking)
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "facts/instance.h"
@@ -60,14 +59,15 @@ class FactCatalog {
   /// GroupIndexer::kMaxDenseSlots. Facts are numbered group by group, in the
   /// order their first row appears, so FactIds do not depend on the path.
   ///
-  /// The instance codes are transposed into columns once; then each group
-  /// takes two passes. Pass 1 writes row -> group-local fact ids,
+  /// The grouping reads the instance's column-major codes directly; each
+  /// group takes two passes. Pass 1 writes row -> group-local fact ids,
   /// column-at-a-time, into one scratch buffer every group reuses, and
-  /// counts rows per fact (integer work only). Pass 2 counting-sorts the row
-  /// ids into the CSR lists, then walks every fact's list in ascending row
-  /// order to accumulate its scope weight and typical value -- the order a
-  /// row-by-row scan adds them in, so the sums are bit-identical. The
-  /// overall group (no dimensions) skips pass 1: its one list is every row.
+  /// counts rows per fact (integer work only). Pass 2, one pass in ascending
+  /// row order, counting-sorts the row ids into the CSR lists and adds each
+  /// row's weight and weighted target to its fact -- the order a row-by-row
+  /// scan adds them in, so the sums are bit-identical. The overall group (no
+  /// dimensions) skips pass 1: one sequential pass writes its list, every
+  /// row, and sums it.
   /// Returns Unsupported, before allocating anything, when
   /// num_groups * num_rows exceeds UINT32_MAX.
   static Result<FactCatalog> Build(const SummaryInstance& instance, int max_fact_dims,
@@ -81,7 +81,8 @@ class FactCatalog {
   const Fact& fact(FactId id) const { return facts_[id]; }
   const FactGroup& group(uint32_t g) const { return groups_[g]; }
 
-  /// Group index for a dimension mask; -1 if not enumerated.
+  /// Group index for a dimension mask (a binary search: groups_ ascend by
+  /// mask); -1 if not enumerated.
   int GroupIndexForMask(uint32_t mask) const;
 
   /// True if `row` of the instance is within the scope of `id`. Reads the
@@ -166,7 +167,6 @@ class FactCatalog {
 
   std::vector<FactGroup> groups_;
   std::vector<Fact> facts_;
-  std::unordered_map<uint32_t, uint32_t> mask_to_group_;
   /// Per-fact row membership as CSR row lists (see ScopeRows). Build writes
   /// every entry exactly once, so the array is allocated uninitialized.
   std::vector<uint32_t> scope_row_offsets_;

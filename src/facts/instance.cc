@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <ranges>
 
@@ -161,6 +162,24 @@ std::vector<std::span<const ValueId>> DimColumns(const Table& table,
   return columns;
 }
 
+/// Makes table rows `rows`, in order, the instance's rows: sets num_rows and
+/// gathers each of `columns` (the free dimensions') into the column-major
+/// codes and the target column into target. Leaves weight to the caller.
+void GatherRows(std::span<const std::span<const ValueId>> columns,
+                std::span<const double> target_column,
+                std::span<const uint32_t> rows, SummaryInstance* inst) {
+  size_t n = rows.size();
+  inst->num_rows = n;
+  inst->codes.resize(columns.size() * n);
+  ValueId* codes = inst->codes.data();
+  for (std::span<const ValueId> column : columns) {
+    for (size_t i = 0; i < n; ++i) codes[i] = column[rows[i]];
+    codes += n;
+  }
+  inst->target.resize(n);
+  for (size_t i = 0; i < n; ++i) inst->target[i] = target_column[rows[i]];
+}
+
 }  // namespace
 
 Result<SummaryInstance> BuildInstance(const Table& table,
@@ -194,36 +213,25 @@ Result<SummaryInstance> BuildInstanceFromRows(const Table& table,
       options, [&] { return GlobalAverage(table, target_index); }, subset_sum,
       rows.size());
 
-  size_t num_dims = inst.dims.size();
   inst.total_weight = static_cast<double>(rows.size());
-
+  std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
   if (!options.merge_duplicates) {
-    inst.num_rows = rows.size();
-    inst.codes.resize(rows.size() * num_dims);
-    inst.target.resize(rows.size());
+    GatherRows(columns, target_column, rows, &inst);
     inst.weight.assign(rows.size(), 1.0);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      for (size_t d = 0; d < num_dims; ++d) {
-        inst.codes[i * num_dims + d] =
-            table.DimCode(rows[i], static_cast<size_t>(inst.dims[d]));
-      }
-      inst.target[i] = target_column[rows[i]];
-    }
     return inst;
   }
 
   // Merge rows with identical (codes, target) into weighted rows, in the
-  // order each key first appears.
-  std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
+  // order each key first appears, then gather the first rows' columns.
+  std::vector<uint32_t> first_rows;
   MergeRows(
       columns, target_column, rows,
       [&](uint32_t r) {
-        for (std::span<const ValueId> column : columns) inst.codes.push_back(column[r]);
-        inst.target.push_back(target_column[r]);
+        first_rows.push_back(r);
         inst.weight.push_back(1.0);
-        ++inst.num_rows;
       },
       [&](uint32_t g, uint32_t) { inst.weight[g] += 1.0; });
+  GatherRows(columns, target_column, first_rows, &inst);
   return inst;
 }
 
@@ -250,44 +258,43 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
       table.TargetColumn(static_cast<size_t>(target_index_));
   std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
 
+  // The instance's source rows, collected before any column is read: every
+  // visited row is written, and kept (the count advances) when it is
+  // matched unmerged or starts a group.
+  size_t max_rows = table.NumRows();
+  const TableIndex* index = nullptr;
+  size_t rarest = 0;
+  if (!query_predicates.empty()) {
+    index = &table.index();
+    for (size_t i = 1; i < query_predicates.size(); ++i) {
+      const EqPredicate& p = query_predicates[i];
+      const EqPredicate& best = query_predicates[rarest];
+      if (index->Count(static_cast<size_t>(p.dim), p.value) <
+          index->Count(static_cast<size_t>(best.dim), best.value)) {
+        rarest = i;
+      }
+    }
+    max_rows = index->Count(static_cast<size_t>(query_predicates[rarest].dim),
+                            query_predicates[rarest].value);
+  }
+  std::unique_ptr<uint32_t[]> rows = std::make_unique_for_overwrite<uint32_t[]>(max_rows);
+  size_t num_rows = 0;
   size_t matched = 0;
   double subset_sum = 0.0;
   bool subset_average = options.prior_kind == PriorKind::kSubsetAverage;
+  bool merge = options.merge_duplicates;
   auto visit = [&](uint32_t r) {
     ++matched;
     if (subset_average) subset_sum += target_column[r];
-    uint32_t multiplicity = multiplicity_[r];
-    if (options.merge_duplicates && multiplicity == 0) return;
-    for (std::span<const ValueId> column : columns) inst.codes.push_back(column[r]);
-    inst.target.push_back(target_column[r]);
-    inst.weight.push_back(options.merge_duplicates ? multiplicity : 1.0);
-    ++inst.num_rows;
+    rows[num_rows] = r;
+    num_rows += !merge || multiplicity_[r] != 0;
   };
 
-  // At most every visited row becomes an instance row.
-  auto reserve = [&](size_t max_rows) {
-    inst.codes.reserve(max_rows * columns.size());
-    inst.target.reserve(max_rows);
-    inst.weight.reserve(max_rows);
-  };
-  if (query_predicates.empty()) {
-    reserve(table.NumRows());
+  if (index == nullptr) {
     for (uint32_t r = 0; r < table.NumRows(); ++r) visit(r);
   } else {
     // Walk the rarest predicate's postings in ascending row order and check
     // the rest against their columns.
-    const TableIndex& index = table.index();
-    size_t rarest = 0;
-    for (size_t i = 1; i < query_predicates.size(); ++i) {
-      const EqPredicate& p = query_predicates[i];
-      const EqPredicate& best = query_predicates[rarest];
-      if (index.Count(static_cast<size_t>(p.dim), p.value) <
-          index.Count(static_cast<size_t>(best.dim), best.value)) {
-        rarest = i;
-      }
-    }
-    reserve(index.Count(static_cast<size_t>(query_predicates[rarest].dim),
-                        query_predicates[rarest].value));
     std::vector<std::pair<std::span<const ValueId>, ValueId>> checks;
     for (size_t i = 0; i < query_predicates.size(); ++i) {
       if (i == rarest) continue;
@@ -295,7 +302,7 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
       checks.emplace_back(table.DimColumn(static_cast<size_t>(p.dim)), p.value);
     }
     const EqPredicate& p = query_predicates[rarest];
-    for (uint32_t r : index.Postings(static_cast<size_t>(p.dim), p.value)) {
+    for (uint32_t r : index->Postings(static_cast<size_t>(p.dim), p.value)) {
       bool match = true;
       for (const auto& [column, value] : checks) {
         if (column[r] != value) {
@@ -309,6 +316,14 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
 
   if (matched == 0) {
     return Status::NotFound("query predicates select no rows");
+  }
+  std::span<const uint32_t> kept(rows.get(), num_rows);
+  GatherRows(columns, target_column, kept, &inst);
+  if (merge) {
+    inst.weight.resize(num_rows);
+    for (size_t i = 0; i < num_rows; ++i) inst.weight[i] = multiplicity_[kept[i]];
+  } else {
+    inst.weight.assign(num_rows, 1.0);
   }
   inst.total_weight = static_cast<double>(matched);
   inst.prior = Prior(

@@ -43,7 +43,10 @@ struct SummaryInstance {
 
   size_t num_rows = 0;                 ///< merged rows
   double total_weight = 0.0;           ///< original (pre-merge) row count
-  std::vector<ValueId> codes;          ///< num_rows x dims.size(), row-major
+  /// Column-major, dims.size() x num_rows: the codes of dimension position
+  /// d fill [d * num_rows, (d + 1) * num_rows), so FactCatalog::Build groups
+  /// whole columns straight from here. Read single codes through CodeAt.
+  std::vector<ValueId> codes;
   std::vector<double> target;          ///< per merged row
   std::vector<double> weight;          ///< multiplicity per merged row
 
@@ -52,8 +55,9 @@ struct SummaryInstance {
   std::string target_name;
   std::string target_unit;
 
+  /// Code of merged row `row` in dimension position `dim_pos`.
   ValueId CodeAt(size_t row, size_t dim_pos) const {
-    return codes[row * dims.size() + dim_pos];
+    return codes[dim_pos * num_rows + row];
   }
 
   /// Baseline error D(empty): weighted sum of |prior - target|.
@@ -112,8 +116,9 @@ class TableMerge {
   /// Returns exactly what BuildInstance(table, query_predicates,
   /// target_index, options) returns, statuses included, without a filter
   /// pass or a hash merge: walks the shortest posting list of the
-  /// predicates, checks the others against the columns and emits the
-  /// matching rows that start a group.
+  /// predicates, checks the others against the columns, collects the
+  /// matching rows that start a group into one buffer, then gathers each
+  /// free dimension's column, the target and the weight from it.
   Result<SummaryInstance> Slice(const PredicateSet& query_predicates,
                                 const InstanceOptions& options = {}) const;
 

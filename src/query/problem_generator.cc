@@ -37,52 +37,79 @@ Result<ProblemGenerator> ProblemGenerator::Create(const Table* table,
   return generator;
 }
 
-void ProblemGenerator::EnumeratePredicateSets(const std::vector<int>& dims,
-                                              std::vector<PredicateSet>* out) const {
-  if (dims.empty()) {
-    out->push_back({});
-    return;
-  }
-  // All value combinations that appear in the data: a group-by over the
-  // chosen dimensions (Section III considers "equality predicates for all
-  // value combinations that appear in the data set").
-  std::vector<uint32_t> all_rows(table_->NumRows());
-  for (size_t r = 0; r < all_rows.size(); ++r) all_rows[r] = static_cast<uint32_t>(r);
-  GroupByResult grouped = GroupBy(*table_, all_rows, dims, {}, {});
-  for (const auto& group : grouped.groups) {
-    PredicateSet predicates;
-    uint64_t packed = group.key;
-    // Unpack 16-bit fields (reverse of packing order).
-    std::vector<ValueId> values(dims.size());
-    for (size_t i = dims.size(); i-- > 0;) {
-      values[i] = static_cast<ValueId>((packed & 0xFFFF) - 1);
-      packed >>= 16;
+namespace {
+
+/// Calls visit(dims) for every predicate dimension subset of at most
+/// `max_predicates` (and kMaxGroupDims) of `dim_indices`, in mask order;
+/// `dims` are the subset's table dimensions.
+template <typename Visit>
+void ForEachPredicateDims(const std::vector<int>& dim_indices, int max_predicates,
+                          Visit visit) {
+  size_t num_dims = dim_indices.size();
+  uint32_t num_masks = 1u << num_dims;
+  std::vector<int> dims;
+  for (uint32_t mask = 0; mask < num_masks; ++mask) {
+    int bits = std::popcount(mask);
+    if (bits > max_predicates || static_cast<size_t>(bits) > kMaxGroupDims) continue;
+    dims.clear();
+    for (size_t d = 0; d < num_dims; ++d) {
+      if (mask & (1u << d)) dims.push_back(dim_indices[d]);
     }
-    for (size_t i = 0; i < dims.size(); ++i) {
-      predicates.push_back(EqPredicate{dims[i], values[i]});
-    }
-    Status st = NormalizePredicates(&predicates);
-    (void)st;  // dims are distinct by construction
-    out->push_back(std::move(predicates));
+    visit(dims);
   }
 }
 
+/// Groups every row of `table` by the columns `dims` (at most
+/// kMaxGroupDims) through `indexer`: afterwards indexer->size() is the
+/// number of value combinations that appear in the data and key(i) the
+/// i-th in first-row order. Section III considers "equality predicates for
+/// all value combinations that appear in the data set". `ids` and `counts`
+/// are scratch for InsertColumns' per-row and per-group output.
+void GroupRows(const Table& table, const std::vector<int>& dims, GroupIndexer* indexer,
+               std::vector<uint32_t>* ids, std::vector<uint32_t>* counts) {
+  size_t radices[kMaxGroupDims] = {};
+  const ValueId* columns[kMaxGroupDims] = {};
+  for (size_t i = 0; i < dims.size(); ++i) {
+    radices[i] = table.dict(static_cast<size_t>(dims[i])).size();
+    columns[i] = table.DimColumn(static_cast<size_t>(dims[i])).data();
+  }
+  indexer->Reset({radices, dims.size()});
+  ids->resize(table.NumRows());
+  indexer->InsertColumns(columns, table.NumRows(), ids->data(), counts);
+}
+
+}  // namespace
+
 std::vector<VoiceQuery> ProblemGenerator::GenerateQueries() const {
   std::vector<PredicateSet> predicate_sets;
-  size_t num_dims = dim_indices_.size();
-  uint32_t num_masks = 1u << num_dims;
-  for (uint32_t mask = 0; mask < num_masks; ++mask) {
-    int bits = std::popcount(mask);
-    if (bits > config_.max_query_predicates ||
-        static_cast<size_t>(bits) > kMaxGroupDims) {
-      continue;
+  GroupIndexer indexer;
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> counts;
+  std::vector<ValueId> values;
+  ForEachPredicateDims(dim_indices_, config_.max_query_predicates,
+                       [&](const std::vector<int>& dims) {
+    if (dims.empty()) {
+      predicate_sets.push_back({});
+      return;
     }
-    std::vector<int> dims;
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (mask & (1u << d)) dims.push_back(dim_indices_[d]);
+    GroupRows(*table_, dims, &indexer, &ids, &counts);
+    values.resize(dims.size());
+    for (uint32_t id = 0; id < indexer.size(); ++id) {
+      // Unpack 16-bit fields (reverse of packing order).
+      uint64_t packed = indexer.key(id);
+      for (size_t i = dims.size(); i-- > 0;) {
+        values[i] = static_cast<ValueId>((packed & 0xFFFF) - 1);
+        packed >>= 16;
+      }
+      PredicateSet predicates;
+      for (size_t i = 0; i < dims.size(); ++i) {
+        predicates.push_back(EqPredicate{dims[i], values[i]});
+      }
+      Status st = NormalizePredicates(&predicates);
+      (void)st;  // dims are distinct by construction
+      predicate_sets.push_back(std::move(predicates));
     }
-    EnumeratePredicateSets(dims, &predicate_sets);
-  }
+  });
 
   std::vector<VoiceQuery> queries;
   queries.reserve(predicate_sets.size() * target_indices_.size());
@@ -99,22 +126,14 @@ std::vector<VoiceQuery> ProblemGenerator::GenerateQueries() const {
 
 size_t ProblemGenerator::CountQueries() const {
   size_t per_target = 0;
-  size_t num_dims = dim_indices_.size();
-  uint32_t num_masks = 1u << num_dims;
-  std::vector<uint32_t> all_rows(table_->NumRows());
-  for (size_t r = 0; r < all_rows.size(); ++r) all_rows[r] = static_cast<uint32_t>(r);
-  for (uint32_t mask = 0; mask < num_masks; ++mask) {
-    int bits = std::popcount(mask);
-    if (bits > config_.max_query_predicates ||
-        static_cast<size_t>(bits) > kMaxGroupDims) {
-      continue;
-    }
-    std::vector<int> dims;
-    for (size_t d = 0; d < num_dims; ++d) {
-      if (mask & (1u << d)) dims.push_back(dim_indices_[d]);
-    }
-    per_target += CountDistinctCombos(*table_, all_rows, dims);
-  }
+  GroupIndexer indexer;
+  std::vector<uint32_t> ids;
+  std::vector<uint32_t> counts;
+  ForEachPredicateDims(dim_indices_, config_.max_query_predicates,
+                       [&](const std::vector<int>& dims) {
+    GroupRows(*table_, dims, &indexer, &ids, &counts);
+    per_target += indexer.size();
+  });
   return per_target * target_indices_.size();
 }
 

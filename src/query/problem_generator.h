@@ -52,11 +52,6 @@ class ProblemGenerator {
   ProblemGenerator(const Table* table, Configuration config)
       : table_(table), config_(std::move(config)) {}
 
-  /// Appends all predicate sets over the dimension subset `dims` whose value
-  /// combinations appear in the data.
-  void EnumeratePredicateSets(const std::vector<int>& dims,
-                              std::vector<PredicateSet>* out) const;
-
   const Table* table_;
   Configuration config_;
   std::vector<int> dim_indices_;

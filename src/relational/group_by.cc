@@ -94,62 +94,4 @@ void GroupIndexer::InsertColumns(const ValueId* const* columns, size_t num_rows,
   }
 }
 
-namespace {
-
-/// Resets `indexer` to the dictionaries of `dims` and calls
-/// visit(i, group id) for each row_ids[i] in order.
-template <typename Visit>
-void ForEachGroupedRow(const Table& table, std::span<const uint32_t> row_ids,
-                       const std::vector<int>& dims, GroupIndexer* indexer,
-                       Visit visit) {
-  assert(dims.size() <= kMaxGroupDims);
-  size_t radices[kMaxGroupDims];
-  std::span<const ValueId> columns[kMaxGroupDims];
-  for (size_t d = 0; d < dims.size(); ++d) {
-    radices[d] = table.dict(static_cast<size_t>(dims[d])).size();
-    columns[d] = table.DimColumn(static_cast<size_t>(dims[d]));
-  }
-  indexer->Reset({radices, dims.size()});
-  ValueId codes[kMaxGroupDims];
-  for (size_t i = 0; i < row_ids.size(); ++i) {
-    for (size_t d = 0; d < dims.size(); ++d) codes[d] = columns[d][row_ids[i]];
-    visit(i, indexer->Insert(codes));
-  }
-}
-
-}  // namespace
-
-double GroupByResult::AverageOf(uint64_t key) const {
-  auto it = index.find(key);
-  if (it == index.end()) return 0.0;
-  const AggregateGroup& g = groups[it->second];
-  return g.count > 0.0 ? g.sum / g.count : 0.0;
-}
-
-GroupByResult GroupBy(const Table& table, std::span<const uint32_t> row_ids,
-                      const std::vector<int>& dims, std::span<const double> values,
-                      std::span<const double> weights) {
-  GroupByResult out;
-  GroupIndexer indexer;
-  ForEachGroupedRow(table, row_ids, dims, &indexer, [&](size_t i, uint32_t id) {
-    if (id == out.groups.size()) out.groups.push_back(AggregateGroup{indexer.key(id)});
-    AggregateGroup& group = out.groups[id];
-    double w = weights.empty() ? 1.0 : weights[i];
-    group.count += w;
-    if (!values.empty()) group.sum += values[i] * w;
-  });
-  out.index.reserve(out.groups.size());
-  for (uint32_t id = 0; id < out.groups.size(); ++id) {
-    out.index.emplace(out.groups[id].key, id);
-  }
-  return out;
-}
-
-size_t CountDistinctCombos(const Table& table, std::span<const uint32_t> row_ids,
-                           const std::vector<int>& dims) {
-  GroupIndexer indexer;
-  ForEachGroupedRow(table, row_ids, dims, &indexer, [](size_t, uint32_t) {});
-  return indexer.size();
-}
-
 }  // namespace vq

@@ -1,6 +1,6 @@
-// Group-by aggregation over dimension subsets (the Gamma operator of
-// Algorithms 1-3), and the grouping indexer every per-row grouping pass of
-// the batch step shares (fact enumeration, query enumeration).
+// Grouping over dimension subsets (the Gamma operator of Algorithms 1-3):
+// the packed group keys and the grouping indexer every grouping pass of the
+// batch step shares (fact enumeration, query enumeration).
 #ifndef VQ_RELATIONAL_GROUP_BY_H_
 #define VQ_RELATIONAL_GROUP_BY_H_
 
@@ -100,37 +100,6 @@ class GroupIndexer {
   // Sparse path: packed key -> group id.
   std::unordered_map<uint64_t, uint32_t> sparse_;
 };
-
-/// One output group of a group-by: its packed key and aggregates.
-struct AggregateGroup {
-  uint64_t key = 0;
-  double sum = 0.0;
-  double count = 0.0;  // weighted count
-};
-
-/// \brief Result of a group-by: groups in first-seen order plus an index.
-struct GroupByResult {
-  std::vector<AggregateGroup> groups;
-  std::unordered_map<uint64_t, uint32_t> index;  // key -> position in groups
-
-  double AverageOf(uint64_t key) const;
-};
-
-/// Groups `row_ids` of `table` by the dimension columns in `dims`
-/// (at most kMaxGroupDims), aggregating SUM and COUNT of
-/// `values[i]` * `weights[i]` where index i aligns with `row_ids`.
-/// Pass an empty `values` to aggregate counts only; empty `weights` means
-/// unit weights.
-GroupByResult GroupBy(const Table& table, std::span<const uint32_t> row_ids,
-                      const std::vector<int>& dims, std::span<const double> values,
-                      std::span<const double> weights);
-
-/// Number of distinct value combinations over `dims` among `row_ids`.
-/// This is the fact-count statistic M(g) of the paper's cost model
-/// (Section VI-C: "the number of facts simply equals the number of distinct
-/// value combinations in the dimension columns they restrict").
-size_t CountDistinctCombos(const Table& table, std::span<const uint32_t> row_ids,
-                           const std::vector<int>& dims);
 
 }  // namespace vq
 

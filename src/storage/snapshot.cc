@@ -85,14 +85,19 @@ Result<std::span<const T>> Section(const MmapFile& file, const Json* json,
                         static_cast<size_t>(count));
 }
 
-/// True when `offsets` and `rows` form one dimension's CSR over `num_rows`
-/// rows of a `cardinality`-value dictionary: offsets run from 0 to
-/// num_rows without decreasing, and every row id is in range. A checksum
-/// only proves the writer's bytes arrived; this keeps a file edited and
-/// re-hashed from handing Slice or FilterRows a row id past the columns.
+/// True when `offsets` and `rows` are one dimension's posting lists over
+/// `column` (codes of a `cardinality`-value dictionary) as TableIndex::Build
+/// writes them: offsets run from 0 to the row count without decreasing, and
+/// list v holds ascending row ids, each in range and carrying code v. With
+/// as many entries as rows, that makes the lists a partition of the rows: a
+/// row's code picks its one list, and ascending forbids a repeat within it.
+/// A checksum only proves the writer's bytes arrived; this keeps a file
+/// edited and re-hashed from handing Slice or FilterRows a row id past the
+/// columns or a row of another value.
 bool ValidPostings(std::span<const uint32_t> offsets,
-                   std::span<const uint32_t> rows, size_t cardinality,
-                   size_t num_rows) {
+                   std::span<const uint32_t> rows, std::span<const ValueId> column,
+                   size_t cardinality) {
+  size_t num_rows = column.size();
   if (offsets.size() != cardinality + 1 || rows.size() != num_rows ||
       offsets[0] != 0 || offsets[cardinality] != num_rows) {
     return false;
@@ -100,9 +105,19 @@ bool ValidPostings(std::span<const uint32_t> offsets,
   for (size_t v = 0; v < cardinality; ++v) {
     if (offsets[v] > offsets[v + 1]) return false;
   }
-  uint32_t max_row = 0;
-  for (uint32_t row : rows) max_row = std::max(max_row, row);
-  return rows.empty() || max_row < num_rows;
+  for (size_t v = 0; v < cardinality; ++v) {
+    // One verdict per list, so the row loop does not branch on it.
+    bool ok = true;
+    uint32_t next = 0;  // the least row id the list may hold next
+    for (uint32_t k = offsets[v]; k < offsets[v + 1]; ++k) {
+      uint32_t row = rows[k];
+      bool in_range = row < num_rows;
+      ok &= in_range & (row >= next) & (column[in_range ? row : 0] == v);
+      next = row + 1;
+    }
+    if (!ok) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -275,12 +290,12 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
     VQ_ASSIGN_OR_RETURN(postings[d].rows, Section<uint32_t>(
         file, dim.Get("posting_rows"), "posting rows"));
   }
-  // Checking reads every row id once, so it runs one dimension per task on
-  // the shared pool, as TableIndex::Build writes them.
+  // Checking reads every row id and its code once, so it runs one
+  // dimension per task on the shared pool, as TableIndex::Build writes them.
   std::vector<char> valid(dims->Size());
   ParallelFor(SharedPool(), dims->Size(), [&](size_t d) {
     valid[d] = ValidPostings(postings[d].offsets, postings[d].rows,
-                             table.dict(d).size(), num_rows);
+                             table.DimColumn(d), table.dict(d).size());
   });
   for (size_t d = 0; d < dims->Size(); ++d) {
     if (!valid[d]) {

@@ -350,8 +350,10 @@ TEST(CatalogScopeBitsTest, ConcurrentFirstCallsBuildTheReferenceBitsets) {
 
 /// The eager FactCatalog::Build that stored every group's scope join, kept
 /// here as the differential reference for the lazy one: pass 1 writes each
-/// group's row -> fact ids into the group's own join, pass 2 counting-sorts
-/// the CSR lists through per-fact cursors and sums every list in order.
+/// group's row -> fact ids into the group's own join from the instance's
+/// columns, pass 2 counting-sorts the CSR lists through per-fact cursors,
+/// and a separate walk over every fact's list sums it in list order -- the
+/// independent sum order the single fused pass of Build must reproduce.
 struct EagerCatalog {
   std::vector<FactGroup> groups;
   std::vector<std::vector<FactId>> row_fact;  ///< per group, per row
@@ -365,12 +367,6 @@ EagerCatalog BuildEager(const SummaryInstance& instance, int max_fact_dims,
   size_t num_dims = instance.dims.size();
   size_t num_rows = instance.num_rows;
   EagerCatalog catalog;
-  std::vector<ValueId> columns(num_dims * num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    for (size_t d = 0; d < num_dims; ++d) {
-      columns[d * num_rows + r] = instance.codes[r * num_dims + d];
-    }
-  }
   catalog.offsets.push_back(0);
   std::vector<uint32_t> cursor;
   GroupIndexer indexer;
@@ -386,7 +382,7 @@ EagerCatalog BuildEager(const SummaryInstance& instance, int max_fact_dims,
     for (size_t d = 0; d < num_dims; ++d) {
       if (mask & (1u << d)) {
         radices[group.dim_positions.size()] = instance.dim_cardinalities[d];
-        group_columns[group.dim_positions.size()] = columns.data() + d * num_rows;
+        group_columns[group.dim_positions.size()] = instance.codes.data() + d * num_rows;
         group.dim_positions.push_back(static_cast<int>(d));
       }
     }
@@ -488,13 +484,14 @@ SummaryInstance MakeDirectInstance(uint64_t seed, const std::vector<size_t>& dic
   for (size_t d = 0; d < dict_cards.size(); ++d) inst.dims.push_back(static_cast<int>(d));
   inst.dim_cardinalities = dict_cards;
   inst.num_rows = num_rows;
+  inst.codes.resize(dict_cards.size() * num_rows);
   const double kSpecial[] = {std::numeric_limits<double>::quiet_NaN(), 0.0, -0.0,
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()};
   for (size_t r = 0; r < num_rows; ++r) {
     for (size_t d = 0; d < dict_cards.size(); ++d) {
-      inst.codes.push_back(
-          static_cast<ValueId>(dict_cards[d] - 1 - rng.NextBelow(used_cards[d])));
+      inst.codes[d * num_rows + r] =
+          static_cast<ValueId>(dict_cards[d] - 1 - rng.NextBelow(used_cards[d]));
     }
     double target = static_cast<double>(rng.NextInt(0, 9)) / 7.0 + 0.1;
     if (special_targets && rng.NextBelow(8) == 0) target = kSpecial[rng.NextBelow(5)];
@@ -502,6 +499,23 @@ SummaryInstance MakeDirectInstance(uint64_t seed, const std::vector<size_t>& dic
     inst.weight.push_back(static_cast<double>(rng.NextInt(1, 4)));
     inst.total_weight += inst.weight.back();
   }
+  return inst;
+}
+
+/// Six rows over two dimensions whose sums depend on the order they are
+/// added in: rows 0-2 share dimension 0's value 0 and carry 1e16, 1.0 and
+/// -1e16, which sum to 0 in ascending row order (1e16 + 1.0 rounds back to
+/// 1e16) but to 1 when the two large targets meet first.
+SummaryInstance MakeOrderSensitiveInstance() {
+  SummaryInstance inst;
+  inst.dims = {0, 1};
+  inst.dim_cardinalities = {2, 3};
+  inst.num_rows = 6;
+  inst.codes = {0, 0, 0, 1, 1, 1,   // dimension 0
+                0, 1, 2, 0, 1, 2};  // dimension 1
+  inst.target = {1e16, 1.0, -1e16, 2.0, 4.0, 6.0};
+  inst.weight.assign(6, 1.0);
+  inst.total_weight = 6.0;
   return inst;
 }
 
@@ -524,6 +538,7 @@ TEST(CatalogEagerDifferentialTest, LazyJoinCatalogMatchesEagerBuild) {
   cases.push_back({"one row", MakeDirectInstance(4, {3, 2, 5, 7}, {3, 2, 5, 7}, 1, true)});
   cases.push_back({"no rows", MakeDirectInstance(5, {3, 2, 5, 7}, {3, 2, 5, 7}, 0, false)});
   cases.push_back({"no dimensions", MakeDirectInstance(6, {}, {}, 90, true)});
+  cases.push_back({"order-sensitive targets", MakeOrderSensitiveInstance()});
   for (const simd::Kernels* kernels : simd::AllImplementations()) {
     SCOPED_TRACE(kernels->name);
     ScopedKernelOverride override_kernels(kernels);
@@ -537,6 +552,22 @@ TEST(CatalogEagerDifferentialTest, LazyJoinCatalogMatchesEagerBuild) {
       }
     }
   }
+}
+
+TEST(CatalogEagerDifferentialTest, TypicalValuesAddRowsInAscendingOrder) {
+  auto built = FactCatalog::Build(MakeOrderSensitiveInstance(), 1);
+  ASSERT_TRUE(built.ok());
+  const FactCatalog& catalog = built.value();
+  const FactGroup& dim0 =
+      catalog.group(static_cast<uint32_t>(catalog.GroupIndexForMask(0b01)));
+  ASSERT_EQ(dim0.num_facts, 2u);
+  // ((1e16 + 1) - 1e16) / 3 = 0, where (1e16 - 1e16 + 1) / 3 would be 1/3.
+  EXPECT_EQ(Bits(catalog.fact(dim0.first_fact).value), Bits(0.0));
+  EXPECT_EQ(Bits(catalog.fact(dim0.first_fact + 1).value), Bits(4.0));
+  // The overall fact: ((1e16 + 1) - 1e16 + 2 + 4 + 6) / 6 = 2.
+  const FactGroup& overall =
+      catalog.group(static_cast<uint32_t>(catalog.GroupIndexForMask(0)));
+  EXPECT_EQ(Bits(catalog.fact(overall.first_fact).value), Bits(2.0));
 }
 
 TEST(CatalogRowFactTest, ConcurrentFirstRowInScopeCallsBuildTheJoin) {
@@ -588,7 +619,7 @@ TEST(CatalogLimitsTest, RejectsScopeJoinPastUint32Offsets) {
   inst.dim_cardinalities.assign(kDims, 1);
   inst.num_rows = kRows;
   inst.total_weight = static_cast<double>(kRows);
-  inst.codes.assign(kDims * kRows, 0);
+  inst.codes.assign(kDims * kRows, 0);  // every column all zeros
   inst.target.assign(kRows, 1.0);
   inst.weight.assign(kRows, 1.0);
   auto built = FactCatalog::Build(inst, 4);

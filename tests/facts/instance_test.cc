@@ -130,9 +130,8 @@ TEST_F(InstanceTest, MergeDuplicatesPreservesWeightAndError) {
       std::set<Key> distinct;
       double weight_sum = 0.0;
       for (size_t m = 0; m < got.num_rows; ++m) {
-        Key key{{got.codes.begin() + static_cast<ptrdiff_t>(m * got.dims.size()),
-                 got.codes.begin() + static_cast<ptrdiff_t>((m + 1) * got.dims.size())},
-                got.target[m]};
+        Key key{{}, got.target[m]};
+        for (size_t d = 0; d < got.dims.size(); ++d) key.first.push_back(got.CodeAt(m, d));
         EXPECT_TRUE(distinct.insert(key).second) << "merged row " << m << " repeats";
         EXPECT_EQ(key, first_seen[m]) << "merged row " << m;
         EXPECT_EQ(got.weight[m], count[key]) << "merged row " << m;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
+#include "relational/group_by.h"
 #include "storage/datasets.h"
 
 namespace vq {
@@ -89,6 +93,88 @@ TEST(ProblemGeneratorTest, TheoremTenBound) {
   auto generator = ProblemGenerator::Create(&table, RunningExampleConfig());
   size_t upper = 1 + 2 * 4 + 1 * 16;  // lengths 0, 1, 2 worst case
   EXPECT_LE(generator.value().CountQueries(), upper);
+}
+
+/// GenerateQueries as a row-at-a-time enumeration: per dimension subset of
+/// at most `max_predicates` (and kMaxGroupDims) of `dims`, in mask order,
+/// each value combination the rows carry, in first-row order, found by
+/// walking the rows one by one through a std::set of seen combinations.
+std::vector<VoiceQuery> ReferenceQueries(const Table& table, const std::vector<int>& dims,
+                                         const std::vector<int>& targets,
+                                         int max_predicates) {
+  std::vector<PredicateSet> sets;
+  for (uint32_t mask = 0; mask < (1u << dims.size()); ++mask) {
+    int bits = std::popcount(mask);
+    if (bits > max_predicates || static_cast<size_t>(bits) > kMaxGroupDims) continue;
+    std::vector<int> subset;
+    for (size_t d = 0; d < dims.size(); ++d) {
+      if (mask & (1u << d)) subset.push_back(dims[d]);
+    }
+    if (subset.empty()) {
+      sets.push_back({});
+      continue;
+    }
+    std::set<std::vector<ValueId>> seen;
+    for (size_t r = 0; r < table.NumRows(); ++r) {
+      std::vector<ValueId> combo;
+      for (int d : subset) combo.push_back(table.DimCode(r, static_cast<size_t>(d)));
+      if (!seen.insert(combo).second) continue;
+      PredicateSet predicates;
+      for (size_t i = 0; i < subset.size(); ++i) {
+        predicates.push_back(EqPredicate{subset[i], combo[i]});
+      }
+      std::sort(predicates.begin(), predicates.end(),
+                [](const EqPredicate& a, const EqPredicate& b) { return a.dim < b.dim; });
+      sets.push_back(std::move(predicates));
+    }
+  }
+  std::vector<VoiceQuery> queries;
+  for (int target : targets) {
+    for (const PredicateSet& predicates : sets) {
+      queries.push_back(VoiceQuery{target, predicates});
+    }
+  }
+  return queries;
+}
+
+TEST(ProblemGeneratorTest, MatchesARowAtATimeReferenceOnEveryDataset) {
+  std::vector<Table> tables;
+  tables.push_back(MakeRunningExampleTable());
+  tables.push_back(MakeFlightsTable(3000, 11));
+  tables.push_back(MakeAcsTable(2000, 12));
+  tables.push_back(MakeStackOverflowTable(3000, 13));
+  tables.push_back(MakePrimariesTable(2000, 14));
+  for (const Table& table : tables) {
+    // Every dimension and target, dimensions configured in reverse table
+    // order so that each predicate set must be normalized.
+    Configuration config;
+    config.table = table.name();
+    std::vector<int> dims;
+    for (size_t d = table.NumDims(); d-- > 0;) {
+      config.dimensions.push_back(table.DimName(d));
+      dims.push_back(static_cast<int>(d));
+    }
+    std::vector<int> targets;
+    for (size_t t = 0; t < table.NumTargets(); ++t) {
+      config.targets.push_back(table.TargetName(t));
+      targets.push_back(static_cast<int>(t));
+    }
+    for (int max_predicates = 0; max_predicates <= 3; ++max_predicates) {
+      SCOPED_TRACE(table.name() + " max_query_predicates " + std::to_string(max_predicates));
+      config.max_query_predicates = max_predicates;
+      auto generator = ProblemGenerator::Create(&table, config);
+      ASSERT_TRUE(generator.ok());
+      std::vector<VoiceQuery> want = ReferenceQueries(
+          table, dims, targets, std::min<int>(max_predicates, static_cast<int>(dims.size())));
+      std::vector<VoiceQuery> got = generator.value().GenerateQueries();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].target_index, want[i].target_index) << "query " << i;
+        EXPECT_EQ(got[i].predicates, want[i].predicates) << "query " << i;
+      }
+      EXPECT_EQ(generator.value().CountQueries(), want.size());
+    }
+  }
 }
 
 TEST(ProblemGeneratorTest, UnknownColumnsFail) {

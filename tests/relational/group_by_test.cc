@@ -2,16 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/datasets.h"
-
 namespace vq {
 namespace {
-
-std::vector<uint32_t> AllRows(const Table& table) {
-  std::vector<uint32_t> rows(table.NumRows());
-  for (size_t r = 0; r < rows.size(); ++r) rows[r] = static_cast<uint32_t>(r);
-  return rows;
-}
 
 TEST(PackGroupKeyTest, DistinctAndOrderSensitive) {
   ValueId a[] = {1, 2};
@@ -23,73 +15,6 @@ TEST(PackGroupKeyTest, DistinctAndOrderSensitive) {
   ValueId d[] = {0, 1};
   EXPECT_NE(PackGroupKey({c, 1}), PackGroupKey({d, 2}));
   EXPECT_EQ(PackGroupKey({}), 0u);
-}
-
-TEST(GroupByTest, SeasonAveragesOnRunningExample) {
-  Table table = MakeRunningExampleTable();
-  auto rows = AllRows(table);
-  std::vector<double> values;
-  for (uint32_t r : rows) values.push_back(table.TargetValue(r, 0));
-  int season = table.DimIndex("season");
-  GroupByResult result = GroupBy(table, rows, {season}, values, {});
-  ASSERT_EQ(result.groups.size(), 4u);
-  // Winter average = 15 (Example 2).
-  ValueId winter = *table.dict(static_cast<size_t>(season)).Find("Winter");
-  ValueId codes[] = {winter};
-  EXPECT_DOUBLE_EQ(result.AverageOf(PackGroupKey({codes, 1})), 15.0);
-}
-
-TEST(GroupByTest, WeightsScaleAggregates) {
-  Table table = MakeRunningExampleTable();
-  auto rows = AllRows(table);
-  std::vector<double> values(rows.size(), 1.0);
-  std::vector<double> weights(rows.size(), 2.5);
-  GroupByResult result = GroupBy(table, rows, {0}, values, weights);
-  double total_count = 0.0;
-  for (const auto& g : result.groups) total_count += g.count;
-  EXPECT_DOUBLE_EQ(total_count, 2.5 * 16.0);
-}
-
-TEST(GroupByTest, EmptyDimsYieldsSingleGroup) {
-  Table table = MakeRunningExampleTable();
-  auto rows = AllRows(table);
-  std::vector<double> values;
-  for (uint32_t r : rows) values.push_back(table.TargetValue(r, 0));
-  GroupByResult result = GroupBy(table, rows, {}, values, {});
-  ASSERT_EQ(result.groups.size(), 1u);
-  EXPECT_DOUBLE_EQ(result.groups[0].sum, 120.0);
-  EXPECT_DOUBLE_EQ(result.groups[0].count, 16.0);
-}
-
-TEST(GroupByTest, MissingKeyAverageIsZero) {
-  Table table = MakeRunningExampleTable();
-  GroupByResult result = GroupBy(table, AllRows(table), {0}, {}, {});
-  EXPECT_DOUBLE_EQ(result.AverageOf(0xDEADBEEF), 0.0);
-}
-
-TEST(CountDistinctCombosTest, MatchesCardinalityProducts) {
-  Table table = MakeRunningExampleTable();
-  auto rows = AllRows(table);
-  EXPECT_EQ(CountDistinctCombos(table, rows, {0}), 4u);
-  EXPECT_EQ(CountDistinctCombos(table, rows, {1}), 4u);
-  EXPECT_EQ(CountDistinctCombos(table, rows, {0, 1}), 16u);
-  EXPECT_EQ(CountDistinctCombos(table, rows, {}), 1u);
-  EXPECT_EQ(CountDistinctCombos(table, {}, {0}), 0u);
-}
-
-TEST(CountDistinctCombosTest, RespectsRowSubset) {
-  Table table = MakeRunningExampleTable();
-  // Only rows of one season: one distinct season, four regions.
-  std::vector<uint32_t> winter_rows;
-  int season = table.DimIndex("season");
-  ValueId winter = *table.dict(static_cast<size_t>(season)).Find("Winter");
-  for (size_t r = 0; r < table.NumRows(); ++r) {
-    if (table.DimCode(r, static_cast<size_t>(season)) == winter) {
-      winter_rows.push_back(static_cast<uint32_t>(r));
-    }
-  }
-  EXPECT_EQ(CountDistinctCombos(table, winter_rows, {season}), 1u);
-  EXPECT_EQ(CountDistinctCombos(table, winter_rows, {table.DimIndex("region")}), 4u);
 }
 
 }  // namespace

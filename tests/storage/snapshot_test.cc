@@ -296,6 +296,26 @@ TEST(SnapshotTest, InconsistentPostingsUnderAValidChecksumAreRejected) {
          size_t cardinality = meta.Get("dims")->At(0).Get("values")->Size();
          WriteWord(bytes, WordAt(meta, 0, "posting_offsets", cardinality), 199);
        }},
+      {"rows swapped between two values",
+       [](std::string* bytes, const Json& meta) {
+         // The first row of value 0 trades places with the first of value 1:
+         // still a CSR of in-range row ids, but each list now holds a row of
+         // the other value.
+         uint32_t second = ReadWord(*bytes, WordAt(meta, 0, "posting_offsets", 1));
+         size_t a = WordAt(meta, 0, "posting_rows", 0);
+         size_t b = WordAt(meta, 0, "posting_rows", second);
+         uint32_t row_a = ReadWord(*bytes, a);
+         WriteWord(bytes, a, ReadWord(*bytes, b));
+         WriteWord(bytes, b, row_a);
+       }},
+      {"rows out of order within a list",
+       [](std::string* bytes, const Json& meta) {
+         size_t a = WordAt(meta, 0, "posting_rows", 0);
+         size_t b = WordAt(meta, 0, "posting_rows", 1);
+         uint32_t row_a = ReadWord(*bytes, a);
+         WriteWord(bytes, a, ReadWord(*bytes, b));
+         WriteWord(bytes, b, row_a);
+       }},
       {"rows array shorter than the table",
        [](std::string* bytes, const Json&) {
          // "count":200 -> "count":199 keeps the meta section's length.

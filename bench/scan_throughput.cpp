@@ -1,12 +1,12 @@
-// Indexed-scan subsystem throughput: (1) filter latency of FilterRows
-// (posting-list intersection or column scan, by the planner's fixed rule)
-// versus the seed row-at-a-time full scan and the column-scan path, over
-// predicate sets of varying selectivity, each the median of nine interleaved
-// rounds; (2) evaluator speech evaluations/sec, bitset-vectorized versus the
+// Indexed-scan subsystem throughput: (1) filter latency of FilterRows (a
+// walk of the rarest posting list) versus the seed row-at-a-time full scan,
+// over predicate sets of varying selectivity, each the median of nine
+// interleaved rounds; (2) evaluator speech evaluations/sec, bitset-vectorized versus the
 // retained row-at-a-time reference; (3) end-to-end routed qps at 4 threads on
 // the BENCH_router warm workload shape, compared against the qps recorded in
 // BENCH_router.json.
-// The check_scan_regression cmake target gates the filter latencies.
+// The check_scan_regression cmake target gates the within-run filter
+// speedups over the seed scan.
 //
 // Emits a machine-readable JSON report (default BENCH_scan.json, override
 // with VQ_BENCH_OUT). Exits non-zero if the selective-filter speedup falls
@@ -23,7 +23,7 @@
 
 #include "bench_common.h"
 #include "core/summarizer.h"
-#include "relational/scan_planner.h"
+#include "relational/predicate.h"
 #include "serve/registry.h"
 #include "serve/router.h"
 #include "util/json.h"
@@ -108,22 +108,22 @@ int main() {
     if (!vq::NormalizePredicates(&filter_case.predicates).ok()) return 1;
   }
 
-  vq::TablePrinter filter_printer({"Predicates", "Rows out", "Plan", "Seed (us)",
-                                   "Scan (us)", "Indexed (us)", "Speedup"});
+  vq::TablePrinter filter_printer(
+      {"Predicates", "Rows out", "Seed (us)", "Indexed (us)", "Speedup"});
   vq::Json filter_json = vq::Json::Array();
   double selective_speedup = 0.0;
   for (const FilterCase& filter_case : cases) {
     if (vq::FilterRows(table, filter_case.predicates) !=
         SeedFilterRows(table, filter_case.predicates)) {
-      std::fprintf(stderr, "FATAL: planner result differs on %s\n",
+      std::fprintf(stderr, "FATAL: FilterRows result differs on %s\n",
                    filter_case.label.c_str());
       return 1;
     }
   }
-  // Each round times every case's three paths once, so a slow host phase
+  // Each round times every case's two paths once, so a slow host phase
   // lands in a few rounds of every path, not in all timings of one.
   struct CaseTimings {
-    std::vector<double> seed_us, scan_us, indexed_us;
+    std::vector<double> seed_us, indexed_us;
   };
   std::vector<CaseTimings> timings(cases.size());
   for (size_t round = 0; round < kFilterRepetitions; ++round) {
@@ -131,8 +131,6 @@ int main() {
       const vq::PredicateSet& predicates = cases[c].predicates;
       timings[c].seed_us.push_back(
           MicrosPerCall([&] { (void)SeedFilterRows(table, predicates); }));
-      timings[c].scan_us.push_back(
-          MicrosPerCall([&] { (void)vq::FilterRowsColumnScan(table, predicates); }));
       timings[c].indexed_us.push_back(
           MicrosPerCall([&] { (void)vq::FilterRows(table, predicates); }));
     }
@@ -141,26 +139,20 @@ int main() {
     const FilterCase& filter_case = cases[c];
     const vq::PredicateSet& predicates = filter_case.predicates;
     size_t rows_out = SeedFilterRows(table, predicates).size();
-    vq::ScanPlan plan = vq::PlanScan(table, predicates);
     double seed_us = Median(timings[c].seed_us);
-    double scan_us = Median(timings[c].scan_us);
     double indexed_us = Median(timings[c].indexed_us);
     double speedup = seed_us / indexed_us;
     if (filter_case.label == "origin_state+month") selective_speedup = speedup;
-    char seed_buf[32], scan_buf[32], indexed_buf[32], speedup_buf[32];
+    char seed_buf[32], indexed_buf[32], speedup_buf[32];
     std::snprintf(seed_buf, sizeof(seed_buf), "%.1f", seed_us);
-    std::snprintf(scan_buf, sizeof(scan_buf), "%.1f", scan_us);
     std::snprintf(indexed_buf, sizeof(indexed_buf), "%.1f", indexed_us);
     std::snprintf(speedup_buf, sizeof(speedup_buf), "%.1fx", speedup);
-    filter_printer.AddRow({filter_case.label, std::to_string(rows_out),
-                           vq::ScanStrategyName(plan.strategy), seed_buf, scan_buf,
+    filter_printer.AddRow({filter_case.label, std::to_string(rows_out), seed_buf,
                            indexed_buf, speedup_buf});
     vq::Json entry = vq::Json::Object();
     entry.Set("predicates", vq::Json::Str(filter_case.label));
     entry.Set("rows_out", vq::Json::Int(static_cast<int64_t>(rows_out)));
-    entry.Set("plan", vq::Json::Str(vq::ScanStrategyName(plan.strategy)));
     entry.Set("seed_us", vq::Json::Number(seed_us));
-    entry.Set("column_scan_us", vq::Json::Number(scan_us));
     entry.Set("indexed_us", vq::Json::Number(indexed_us));
     entry.Set("speedup_vs_seed", vq::Json::Number(speedup));
     filter_json.Append(std::move(entry));

@@ -4,12 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <ranges>
 
 #include "relational/group_by.h"
-#include "storage/index.h"
 #include "util/fnv.h"
 #include "util/simd.h"
 
@@ -258,70 +256,33 @@ Result<SummaryInstance> TableMerge::Slice(const PredicateSet& query_predicates,
       table.TargetColumn(static_cast<size_t>(target_index_));
   std::vector<std::span<const ValueId>> columns = DimColumns(table, inst.dims);
 
-  // The instance's source rows, collected before any column is read: every
-  // visited row is written, and kept (the count advances) when it is
-  // matched unmerged or starts a group.
-  size_t max_rows = table.NumRows();
-  const TableIndex* index = nullptr;
-  size_t rarest = 0;
-  if (!query_predicates.empty()) {
-    index = &table.index();
-    for (size_t i = 1; i < query_predicates.size(); ++i) {
-      const EqPredicate& p = query_predicates[i];
-      const EqPredicate& best = query_predicates[rarest];
-      if (index->Count(static_cast<size_t>(p.dim), p.value) <
-          index->Count(static_cast<size_t>(best.dim), best.value)) {
-        rarest = i;
-      }
-    }
-    max_rows = index->Count(static_cast<size_t>(query_predicates[rarest].dim),
-                            query_predicates[rarest].value);
-  }
-  std::unique_ptr<uint32_t[]> rows = std::make_unique_for_overwrite<uint32_t[]>(max_rows);
-  size_t num_rows = 0;
-  size_t matched = 0;
-  double subset_sum = 0.0;
-  bool subset_average = options.prior_kind == PriorKind::kSubsetAverage;
-  bool merge = options.merge_duplicates;
-  auto visit = [&](uint32_t r) {
-    ++matched;
-    if (subset_average) subset_sum += target_column[r];
-    rows[num_rows] = r;
-    num_rows += !merge || multiplicity_[r] != 0;
-  };
-
-  if (index == nullptr) {
-    for (uint32_t r = 0; r < table.NumRows(); ++r) visit(r);
-  } else {
-    // Walk the rarest predicate's postings in ascending row order and check
-    // the rest against their columns.
-    std::vector<std::pair<std::span<const ValueId>, ValueId>> checks;
-    for (size_t i = 0; i < query_predicates.size(); ++i) {
-      if (i == rarest) continue;
-      const EqPredicate& p = query_predicates[i];
-      checks.emplace_back(table.DimColumn(static_cast<size_t>(p.dim)), p.value);
-    }
-    const EqPredicate& p = query_predicates[rarest];
-    for (uint32_t r : index->Postings(static_cast<size_t>(p.dim), p.value)) {
-      bool match = true;
-      for (const auto& [column, value] : checks) {
-        if (column[r] != value) {
-          match = false;
-          break;
-        }
-      }
-      if (match) visit(r);
-    }
-  }
-
+  // The instance's source rows, collected before any column is read: the
+  // matching rows, then, when merging, compacted in place to those that
+  // start a group (every row is written back; the count advances on a
+  // non-zero multiplicity).
+  std::vector<uint32_t> rows = FilterRows(table, query_predicates);
+  size_t matched = rows.size();
   if (matched == 0) {
     return Status::NotFound("query predicates select no rows");
   }
-  std::span<const uint32_t> kept(rows.get(), num_rows);
-  GatherRows(columns, target_column, kept, &inst);
+  double subset_sum = 0.0;
+  if (options.prior_kind == PriorKind::kSubsetAverage) {
+    for (uint32_t r : rows) subset_sum += target_column[r];
+  }
+  bool merge = options.merge_duplicates;
+  if (merge) {
+    size_t kept = 0;
+    for (uint32_t r : rows) {
+      rows[kept] = r;
+      kept += multiplicity_[r] != 0;
+    }
+    rows.resize(kept);
+  }
+  size_t num_rows = rows.size();
+  GatherRows(columns, target_column, rows, &inst);
   if (merge) {
     inst.weight.resize(num_rows);
-    for (size_t i = 0; i < num_rows; ++i) inst.weight[i] = multiplicity_[kept[i]];
+    for (size_t i = 0; i < num_rows; ++i) inst.weight[i] = multiplicity_[rows[i]];
   } else {
     inst.weight.assign(num_rows, 1.0);
   }

@@ -114,11 +114,10 @@ class TableMerge {
   TableMerge(const Table& table, int target_index);
 
   /// Returns exactly what BuildInstance(table, query_predicates,
-  /// target_index, options) returns, statuses included, without a filter
-  /// pass or a hash merge: walks the shortest posting list of the
-  /// predicates, checks the others against the columns, collects the
-  /// matching rows that start a group into one buffer, then gathers each
-  /// free dimension's column, the target and the weight from it.
+  /// target_index, options) returns, statuses included, without a hash
+  /// merge: takes FilterRows' rows, compacts them in place to those that
+  /// start a group, then gathers each free dimension's column, the target
+  /// and the weight from them.
   Result<SummaryInstance> Slice(const PredicateSet& query_predicates,
                                 const InstanceOptions& options = {}) const;
 

@@ -124,17 +124,4 @@ std::vector<VoiceQuery> ProblemGenerator::GenerateQueries() const {
   return queries;
 }
 
-size_t ProblemGenerator::CountQueries() const {
-  size_t per_target = 0;
-  GroupIndexer indexer;
-  std::vector<uint32_t> ids;
-  std::vector<uint32_t> counts;
-  ForEachPredicateDims(dim_indices_, config_.max_query_predicates,
-                       [&](const std::vector<int>& dims) {
-    GroupRows(*table_, dims, &indexer, &ids, &counts);
-    per_target += indexer.size();
-  });
-  return per_target * target_indices_.size();
-}
-
 }  // namespace vq

@@ -36,10 +36,6 @@ class ProblemGenerator {
   /// combinations in first-occurrence order).
   std::vector<VoiceQuery> GenerateQueries() const;
 
-  /// Number of queries GenerateQueries() would return, without materializing
-  /// them (used by the Theorem 10 bound test).
-  size_t CountQueries() const;
-
   const Configuration& config() const { return config_; }
   const Table& table() const { return *table_; }
 

@@ -1,6 +1,11 @@
 #include "relational/predicate.h"
 
 #include <algorithm>
+#include <numeric>
+#include <span>
+#include <utility>
+
+#include "storage/index.h"
 
 namespace vq {
 
@@ -37,6 +42,48 @@ bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates) 
     if (table.DimCode(row, static_cast<size_t>(p.dim)) != p.value) return false;
   }
   return true;
+}
+
+std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates) {
+  if (predicates.empty()) {
+    std::vector<uint32_t> rows(table.NumRows());
+    std::iota(rows.begin(), rows.end(), 0);
+    return rows;
+  }
+  const TableIndex& index = table.index();
+  size_t rarest = 0;
+  for (size_t i = 1; i < predicates.size(); ++i) {
+    if (index.Count(static_cast<size_t>(predicates[i].dim), predicates[i].value) <
+        index.Count(static_cast<size_t>(predicates[rarest].dim),
+                    predicates[rarest].value)) {
+      rarest = i;
+    }
+  }
+  std::span<const uint32_t> postings = index.Postings(
+      static_cast<size_t>(predicates[rarest].dim), predicates[rarest].value);
+  std::vector<uint32_t> rows(postings.begin(), postings.end());
+  if (predicates.size() == 1) return rows;
+
+  // Compact the copy in place, in ascending row order: every row is written
+  // back, and kept (the count advances) when it passes every other
+  // predicate's column check. No branch on the outcome, which would
+  // mispredict often on unselective conjunctions.
+  std::vector<std::pair<const ValueId*, ValueId>> checks;
+  checks.reserve(predicates.size() - 1);
+  for (size_t i = 0; i < predicates.size(); ++i) {
+    if (i == rarest) continue;
+    checks.emplace_back(table.DimColumn(static_cast<size_t>(predicates[i].dim)).data(),
+                        predicates[i].value);
+  }
+  size_t kept = 0;
+  for (uint32_t r : rows) {
+    bool match = true;
+    for (const auto& [column, value] : checks) match &= column[r] == value;
+    rows[kept] = r;
+    kept += match;
+  }
+  rows.resize(kept);
+  return rows;
 }
 
 bool IsSubsetOf(const PredicateSet& subset, const PredicateSet& superset) {

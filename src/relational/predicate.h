@@ -37,8 +37,9 @@ Status NormalizePredicates(PredicateSet* predicates);
 bool RowMatches(const Table& table, size_t row, const PredicateSet& predicates);
 
 /// Row ids of all rows satisfying the conjunction (the sigma operator),
-/// ascending; planned from the table's index and defined with the planner
-/// (relational/scan_planner.cc).
+/// ascending. No predicates: every row. One predicate: a copy of its posting
+/// list (builds the table index on first use). More: walks the rarest
+/// predicate's posting list and checks the others against their columns.
 std::vector<uint32_t> FilterRows(const Table& table, const PredicateSet& predicates);
 
 /// True if `subset` is contained in `superset` (predicate-set inclusion,

@@ -92,9 +92,9 @@ class Table {
 
   /// The table's inverted index (storage/index.h), built on first use and
   /// cached; appending rows invalidates the cache. Thread-safe: concurrent
-  /// first calls build once, later calls are a single atomic load -- the
-  /// scan planner and the serving layer's on-demand slices hit this from
-  /// many worker threads.
+  /// first calls build once, later calls are a single atomic load --
+  /// FilterRows, and through it the serving layer's on-demand slices, hit
+  /// this from many worker threads.
   const TableIndex& index() const;
 
   /// True if the index has been built (and not invalidated since); lets

@@ -1,3 +1,5 @@
+// FilterRows (relational/predicate.h) against the row-at-a-time reference,
+// and the partial-list helpers left in relational/scan_planner.h.
 #include "relational/scan_planner.h"
 
 #include <gtest/gtest.h>
@@ -6,14 +8,15 @@
 #include <vector>
 
 #include "relational/predicate.h"
+#include "storage/index.h"
 #include "storage/table.h"
 #include "util/rng.h"
 
 namespace vq {
 namespace {
 
-/// The seed implementation: one RowMatches check per row. The planner's two
-/// execution paths must reproduce this bit for bit.
+/// The seed implementation: one RowMatches check per row. FilterRows must
+/// reproduce this bit for bit.
 std::vector<uint32_t> NaiveFilterRows(const Table& table,
                                       const PredicateSet& predicates) {
   std::vector<uint32_t> out;
@@ -50,7 +53,7 @@ PredicateSet RandomPredicates(Rng* rng, const Table& table, size_t max_preds) {
   rng->Shuffle(&dims);
   for (size_t i = 0; i < num_preds && i < dims.size(); ++i) {
     size_t dim = dims[i];
-    // Occasionally pick a value id no row carries (tests kEmptyResult).
+    // Occasionally pick a value id no row carries (an empty posting list).
     ValueId value = rng->NextBool(0.1)
                         ? static_cast<ValueId>(table.dict(dim).size() + 1)
                         : static_cast<ValueId>(rng->NextBelow(table.dict(dim).size()));
@@ -60,10 +63,10 @@ PredicateSet RandomPredicates(Rng* rng, const Table& table, size_t max_preds) {
   return predicates;
 }
 
-/// Property: for random tables and predicate sets, the posting-list path,
-/// the column scan, the planner-routed FilterRows and the naive RowMatches
-/// loop all return identical row ids.
-TEST(ScanPlannerPropertyTest, AllFilterPathsAgree) {
+/// Property: for random tables and predicate sets (none, one, several, and
+/// values no row carries), FilterRows returns the naive RowMatches loop's
+/// row ids.
+TEST(ScanPlannerPropertyTest, FilterRowsMatchesNaive) {
   Rng rng(20210318);
   for (int trial = 0; trial < 60; ++trial) {
     size_t num_rows = 1 + rng.NextBelow(400);
@@ -71,13 +74,7 @@ TEST(ScanPlannerPropertyTest, AllFilterPathsAgree) {
     Table table = RandomTable(&rng, num_rows, num_dims, 12);
     for (int q = 0; q < 12; ++q) {
       PredicateSet predicates = RandomPredicates(&rng, table, num_dims);
-      std::vector<uint32_t> naive = NaiveFilterRows(table, predicates);
-      EXPECT_EQ(FilterRowsColumnScan(table, predicates), naive);
-      if (!predicates.empty()) {
-        EXPECT_EQ(FilterRowsPostings(table, predicates), naive);
-      }
-      EXPECT_EQ(FilterRows(table, predicates), naive);
-      EXPECT_LE(naive.size(), PlanScan(table, predicates).estimated_rows);
+      EXPECT_EQ(FilterRows(table, predicates), NaiveFilterRows(table, predicates));
     }
   }
 }
@@ -104,54 +101,50 @@ TEST(ScanPlannerPropertyTest, MultiPartialsMergeToFilterRows) {
   }
 }
 
-TEST(ScanPlannerTest, PlanStrategies) {
-  // 8 rows: value 0 on 6 rows and value 1 on 2 rows of both dimensions.
+/// The walk starts from the rarest posting list wherever it sits in the
+/// dimension-sorted set, and the other predicates still filter.
+TEST(ScanPlannerTest, RarestPredicateNotFirst) {
+  // 12 rows: a = v0 on rows 0-9; b = v0 on rows 0-5; c = v0 where row % 3 == 0.
   Table table("fixed");
   table.AddDimColumn("a");
   table.AddDimColumn("b");
+  table.AddDimColumn("c");
   table.AddTargetColumn("y");
-  for (int r = 0; r < 8; ++r) {
-    std::string value = r < 6 ? "v0" : "v1";
-    ASSERT_TRUE(table.AppendRow({value, value}, {static_cast<double>(r)}).ok());
+  for (int r = 0; r < 12; ++r) {
+    ASSERT_TRUE(table
+                    .AppendRow({r < 10 ? "v0" : "v1", r < 6 ? "v0" : "v1",
+                                r % 3 == 0 ? "v0" : "v1"},
+                               {static_cast<double>(r)})
+                    .ok());
   }
-  ASSERT_EQ(table.index().Count(0, 0), 6u);
-
-  EXPECT_EQ(PlanScan(table, {}).strategy, ScanStrategy::kAllRows);
-
-  PredicateSet missing{EqPredicate{0, static_cast<ValueId>(table.dict(0).size())}};
-  EXPECT_EQ(PlanScan(table, missing).strategy, ScanStrategy::kEmptyResult);
-
-  // A single predicate always answers from its posting list, however
-  // unselective.
-  PredicateSet single{EqPredicate{0, 0}};
-  ScanPlan plan = PlanScan(table, single);
-  EXPECT_EQ(plan.strategy, ScanStrategy::kPostings);
-  EXPECT_EQ(plan.estimated_rows, 6u);
-
-  // A conjunction intersects postings while shortest list * 4 <= rows
-  // (2 * 4 = 8: the boundary is inclusive) ...
-  PredicateSet rare{EqPredicate{0, 1}, EqPredicate{1, 1}};
-  EXPECT_EQ(PlanScan(table, rare).strategy, ScanStrategy::kPostings);
-  // ... and scans the columns otherwise (6 * 4 > 8).
-  PredicateSet hot{EqPredicate{0, 0}, EqPredicate{1, 0}};
-  EXPECT_EQ(PlanScan(table, hot).strategy, ScanStrategy::kColumnScan);
-  EXPECT_EQ(FilterRows(table, hot), NaiveFilterRows(table, hot));
-}
-
-/// GlobalScanStats() reads the plan counters: one per planned filter, by
-/// the path it took.
-TEST(ScanPlannerTest, GlobalScanStatsCountsPlans) {
-  Rng rng(7);
-  Table table = RandomTable(&rng, 200, 3, 6);
-  const ScanStats& stats = GlobalScanStats();
-  uint64_t postings = stats.postings_samples();
-  uint64_t scans = stats.scan_samples();
-  (void)FilterRows(table, {EqPredicate{0, 0}});
-  EXPECT_EQ(stats.postings_samples(), postings + 1);
-  EXPECT_EQ(stats.scan_samples(), scans);
-  (void)FilterRowsColumnScan(table, {EqPredicate{0, 0}});  // plans nothing
-  EXPECT_EQ(stats.scan_samples(), scans);
-  EXPECT_EQ(stats.probes(), 0u);
+  // Row 0 interns v0 first in every column, so the codes agree across dims.
+  const ValueId v0 = 0;
+  const ValueId v1 = 1;
+  ASSERT_EQ(table.dict(2).Find("v1"), v1);
+  struct Case {
+    PredicateSet predicates;
+    size_t rarest;
+    std::vector<uint32_t> rows;
+  };
+  const std::vector<Case> cases = {
+      {{{0, v0}, {1, v1}, {2, v1}}, 1, {7, 8}},
+      {{{0, v0}, {2, v1}}, 1, {1, 2, 4, 5, 7, 8}},
+      {{{0, v0}, {1, v0}, {2, v0}}, 2, {0, 3}},
+      {{{0, v0}, {1, v1}, {2, v0}}, 2, {6, 9}},
+  };
+  const TableIndex& index = table.index();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(PredicatesToString(table, c.predicates));
+    for (size_t i = 0; i < c.predicates.size(); ++i) {
+      if (i == c.rarest) continue;
+      const EqPredicate& p = c.predicates[i];
+      const EqPredicate& rarest = c.predicates[c.rarest];
+      EXPECT_LT(index.Count(static_cast<size_t>(rarest.dim), rarest.value),
+                index.Count(static_cast<size_t>(p.dim), p.value));
+    }
+    EXPECT_EQ(FilterRows(table, c.predicates), c.rows);
+    EXPECT_EQ(NaiveFilterRows(table, c.predicates), c.rows);
+  }
 }
 
 }  // namespace

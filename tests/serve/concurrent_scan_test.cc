@@ -2,7 +2,7 @@
 // serve-tsan preset (the binary name matches its ^(serve_|engine_|obs_)
 // filter): concurrent FilterRows calls race the lazily built table index's
 // double-checked publish (itself built one dimension per task on the shared
-// pool) and the process-wide plan counters.
+// pool).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "relational/predicate.h"
-#include "relational/scan_planner.h"
 #include "storage/table.h"
 #include "util/rng.h"
 

@@ -45,7 +45,7 @@ Configuration AcsConfig() {
 
 TEST(ObservabilityTest, RenderTextCoversTheWholeServingStack) {
   // A private registry isolates this test from the process-global one the
-  // other suites (and the planner's function-local instruments) feed.
+  // other suites (and the index build's function-local instruments) feed.
   obs::MetricsRegistry metrics;
   DatasetRegistry registry(RegistryOptions{.metrics = &metrics});
   ASSERT_TRUE(registry.AddGenerated("flights", FlightsConfig(), 300, kSeed).ok());
